@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import optimal_bits, optimal_hash_count
-from .hashing import HashVariant, derive_seeds, hash_batch, hash_key
+from .hashing import HashVariant, derive_seeds, fold_batch, fold_key, mix_batch, mix_key
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -48,18 +48,22 @@ class _DoubleHashingFilter:
         self.probe_calls = 0
 
     def _positions(self, key: bytes) -> list[int]:
-        h1 = hash_key(key, self.seeds[0], self.variant)
-        h2 = hash_key(key, self.seeds[1], self.variant)
+        blocks = mix_key(key, self.variant)
+        h1 = fold_key(blocks, self.seeds[0])
+        h2 = fold_key(blocks, self.seeds[1])
         self.hash_calls += 2
         return [((h1 + i * h2) & _MASK64) % self.bits for i in range(self.hash_count)]
 
     def _position_matrix(self, keys: np.ndarray) -> np.ndarray:
         """(hash_count, count) probe positions for a uint8 key matrix."""
-        h1 = hash_batch(keys, self.seeds[0], self.variant)
-        h2 = hash_batch(keys, self.seeds[1], self.variant)
-        self.hash_calls += 2 * keys.shape[0]
-        steps = np.arange(self.hash_count, dtype=np.uint64)[:, None]
-        return (h1[None, :] + steps * h2[None, :]) % np.uint64(self.bits)
+        blocks = mix_batch(keys, self.variant)
+        h1 = fold_batch(blocks, self.seeds[0])
+        h2 = fold_batch(blocks, self.seeds[1])
+        self.hash_calls += 2 * h1.size
+        positions = np.arange(self.hash_count, dtype=np.uint64)[:, None] * h2
+        positions += h1
+        positions %= np.uint64(self.bits)
+        return positions
 
 
 class StandardBloomFilter(_DoubleHashingFilter):
@@ -89,18 +93,16 @@ class StandardBloomFilter(_DoubleHashingFilter):
         return True
 
     def insert_batch(self, keys: np.ndarray) -> None:
-        keys = np.ascontiguousarray(keys, dtype=np.uint8)
         positions = self._position_matrix(keys)
         for row in positions:
             idx = (row >> np.uint64(6)).astype(np.intp)
             np.bitwise_or.at(self.words, idx, np.uint64(1) << (row & np.uint64(63)))
-        self.probe_calls += self.hash_count * keys.shape[0]
-        self.inserted_count += keys.shape[0]
+        self.probe_calls += positions.size
+        self.inserted_count += positions.shape[1]
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.ascontiguousarray(keys, dtype=np.uint8)
-        count = keys.shape[0]
         positions = self._position_matrix(keys)
+        count = positions.shape[1]
         result = np.ones(count, dtype=bool)
         alive = np.arange(count)
         for row in positions:
@@ -182,20 +184,17 @@ class CountingBloomFilter(_DoubleHashingFilter):
         self.inserted_count = max(0, self.inserted_count - 1)
 
     def insert_batch(self, keys: np.ndarray) -> None:
-        keys = np.ascontiguousarray(keys, dtype=np.uint8)
         positions = self._position_matrix(keys)
-        for row in positions:
-            # saturating add: increments only, so summing then clamping is
-            # exact; clamping per probe row keeps uint8 far from wrapping
-            np.add.at(self.counters, row.astype(np.intp), 1)
-            np.minimum(self.counters, self.COUNTER_MAX, out=self.counters)
-        self.probe_calls += self.hash_count * keys.shape[0]
-        self.inserted_count += keys.shape[0]
+        # one saturating add per call: each position's increments are
+        # counted in int64 first, so no number of repeats wraps a uint8
+        idx, n = np.unique(positions.ravel(), return_counts=True)
+        self.counters[idx] = np.minimum(self.counters[idx] + n, self.COUNTER_MAX)
+        self.probe_calls += positions.size
+        self.inserted_count += positions.shape[1]
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.ascontiguousarray(keys, dtype=np.uint8)
-        count = keys.shape[0]
         positions = self._position_matrix(keys)
+        count = positions.shape[1]
         result = np.ones(count, dtype=bool)
         alive = np.arange(count)
         for row in positions:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import FilterGeometry, derive_geometry
-from .hashing import HashVariant, derive_seeds, hash_batch, hash_key
+from .hashing import HashVariant, derive_seeds, fold_batch, fold_key, mix_batch, mix_key
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,9 @@ class TwoDBloomFilter:
 
     def insert(self, key: bytes) -> None:
         """Set one bit per seed; re-inserting a key changes no cell."""
+        blocks = mix_key(key, self.variant)
         for seed in self.seeds:
-            digest = hash_key(key, seed, self.variant)
-            addr = cell_address(digest, self.geometry)
+            addr = cell_address(fold_key(blocks, seed), self.geometry)
             self.cells[addr.row, addr.col] |= np.uint64(addr.mask)
         self.hash_calls += len(self.seeds)
         self.inserted_count += 1
@@ -102,19 +102,19 @@ class TwoDBloomFilter:
     def contains(self, key: bytes) -> bool:
         """True iff every probe bit is set; never false for an inserted,
         non-deleted key."""
+        blocks = mix_key(key, self.variant)
         for seed in self.seeds:
             self.hash_calls += 1
-            digest = hash_key(key, seed, self.variant)
-            addr = cell_address(digest, self.geometry)
+            addr = cell_address(fold_key(blocks, seed), self.geometry)
             if not (int(self.cells[addr.row, addr.col]) >> addr.bit) & 1:
                 return False
         return True
 
     def remove(self, key: bytes) -> None:
         """Clear each probe bit that is currently set (see deletion caveat)."""
+        blocks = mix_key(key, self.variant)
         for seed in self.seeds:
-            digest = hash_key(key, seed, self.variant)
-            addr = cell_address(digest, self.geometry)
+            addr = cell_address(fold_key(blocks, seed), self.geometry)
             cell = int(self.cells[addr.row, addr.col])
             if (cell >> addr.bit) & 1:
                 self.cells[addr.row, addr.col] = np.uint64(cell ^ addr.mask)
@@ -123,27 +123,29 @@ class TwoDBloomFilter:
 
     def insert_batch(self, keys: np.ndarray) -> None:
         """Insert every row of a ``(count, length)`` uint8 key matrix."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint8)
+        blocks = mix_batch(keys, self.variant)
+        count = blocks.words.shape[1]
         g = self.geometry
         flat = self.cells.reshape(-1)
         for seed in self.seeds:
-            digests = hash_batch(keys, seed, self.variant)
+            digests = fold_batch(blocks, seed)
             rows = (digests % np.uint64(g.rows)).astype(np.intp)
             cols = (digests % np.uint64(g.cols)).astype(np.intp)
             bits = digests % np.uint64(g.cell_bits)
             np.bitwise_or.at(flat, rows * g.cols + cols, np.uint64(1) << bits)
-        self.hash_calls += len(self.seeds) * keys.shape[0]
-        self.inserted_count += keys.shape[0]
+        self.hash_calls += len(self.seeds) * count
+        self.inserted_count += count
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised lookup returning a boolean per row.
 
         Later probes are only evaluated for keys still alive, mirroring
         the scalar short-circuit, so the digest count per query is at
-        most ``hash_count``.
+        most ``hash_count``.  The keys' block words are mixed once and
+        each seed folds only the surviving keys' columns of them.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.uint8)
-        count = keys.shape[0]
+        blocks = mix_batch(keys, self.variant)
+        count = blocks.words.shape[1]
         result = np.ones(count, dtype=bool)
         alive = np.arange(count)
         g = self.geometry
@@ -151,14 +153,16 @@ class TwoDBloomFilter:
         for seed in self.seeds:
             if alive.size == 0:
                 break
-            digests = hash_batch(keys[alive], seed, self.variant)
+            digests = fold_batch(blocks, seed)
             self.hash_calls += int(alive.size)
             rows = (digests % np.uint64(g.rows)).astype(np.intp)
             cols = (digests % np.uint64(g.cols)).astype(np.intp)
             bits = digests % np.uint64(g.cell_bits)
-            hit = (flat[rows * g.cols + cols] >> bits) & np.uint64(1)
-            result[alive[hit == 0]] = False
-            alive = alive[hit == 1]
+            hit = ((flat[rows * g.cols + cols] >> bits) & np.uint64(1)).astype(bool)
+            result[alive[~hit]] = False
+            alive = alive[hit]
+            if alive.size < hit.size:
+                blocks = blocks._replace(words=blocks.words[:, hit])
         return result
 
     def memory_bits(self) -> int:

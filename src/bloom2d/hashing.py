@@ -10,15 +10,30 @@ Strides wider than 8 bytes do not fit a 64-bit word; the bytes above the
 word boundary are XOR-folded back into the low word before mixing, so
 every byte of every block still reaches the digest.
 
+A digest is computed in two stages, because the per-block mix does not
+depend on the seed:
+
+* the **block stage** (:func:`mix_key`, :func:`mix_batch`) loads each
+  block of a key, zero-padded to a 64-bit word, and mixes it once;
+* the **fold stage** (:func:`fold_key`, :func:`fold_batch`) folds those
+  words into one seed's initial state, which also holds the key length
+  and the stride, and finalizes.
+
+A filter that needs k digests of a key runs the block stage once and the
+fold stage k times.  :func:`hash_key` and :func:`hash_batch` are the two
+stages composed for a single seed.
+
 The committed golden-vector fixture (newline-delimited
 ``hex(key),seed,variant,hex(digest)`` records) anchors these digests
 bit-for-bit; any change to the constants or round structure below is a
-breaking format change.
+breaking format change.  Splitting the work into stages is not: the
+stages compute exactly the rounds a single pass would.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,28 +94,105 @@ def derive_seeds(count: int) -> list[int]:
     return [splitmix64(_SEED_BASE ^ j) for j in range(count)]
 
 
+class KeyBlocks(NamedTuple):
+    """Seed-free block stage output, shared by every seed's fold.
+
+    ``words`` holds the mixed block words: a list of ints for one key, or
+    a ``(rounds, count)`` uint64 array for a key matrix, one row per
+    block so that each fold round reads contiguous memory.
+    """
+
+    words: list[int] | np.ndarray
+    length: int
+    stride: int
+
+
+def _initial_state(blocks: KeyBlocks, seed: int) -> int:
+    return (seed ^ (blocks.length * _MULT) ^ (blocks.stride * _VARIANT_SALT)) & _MASK64
+
+
+def mix_key(key: bytes, variant: HashVariant = HashVariant.H4) -> KeyBlocks:
+    """Block stage for one key: its mixed block words as Python ints.
+
+    The final partial block, when the key length is not a multiple of the
+    stride, is zero-padded and mixed exactly like a full block.
+    """
+    stride = int(variant)
+    words = []
+    for off in range(0, len(key), stride):
+        k = int.from_bytes(key[off : off + stride], "little")
+        k = ((k & _MASK64) ^ (k >> 64)) * _MULT & _MASK64
+        k ^= k >> _SHIFT
+        words.append(k * _MULT & _MASK64)
+    return KeyBlocks(words, len(key), stride)
+
+
+def fold_key(blocks: KeyBlocks, seed: int) -> int:
+    """Fold stage for one key: its 64-bit digest under ``seed``."""
+    h = _initial_state(blocks, seed)
+    for k in blocks.words:
+        h = (h ^ k) * _MULT & _MASK64
+    h ^= h >> _SHIFT
+    h = h * _MULT & _MASK64
+    return h ^ (h >> _SHIFT)
+
+
+def mix_batch(
+    keys: np.ndarray, variant: HashVariant = HashVariant.H4
+) -> KeyBlocks:
+    """Block stage for every row of a ``(count, length)`` uint8 key matrix.
+
+    Each block is copied into a zero-filled 8-byte (16-byte for strides
+    above 8) slot and the slots are read as little-endian uint64 words in
+    one view; the high word of a 16-byte slot is XOR-folded into the low
+    one.  All keys in a matrix share one length, hence one initial state.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.uint8)
+    if keys.ndim != 2:
+        raise ValueError(f"key matrix must be 2-D, got shape {keys.shape}")
+    count, length = keys.shape
+    stride = int(variant)
+    rounds = -(-length // stride)
+    slots = np.zeros((rounds, count, 8 if stride <= 8 else 16), dtype=np.uint8)
+    for r in range(rounds):
+        block = keys[:, r * stride : (r + 1) * stride]
+        slots[r, :, : block.shape[1]] = block
+    halves = slots.view("<u8").astype(np.uint64, copy=False)
+    k = halves[..., 0] if stride <= 8 else halves[..., 0] ^ halves[..., 1]
+    mult = np.uint64(_MULT)
+    k *= mult
+    k ^= k >> np.uint64(_SHIFT)
+    k *= mult
+    return KeyBlocks(k, length, stride)
+
+
+def fold_batch(blocks: KeyBlocks, seed: int) -> np.ndarray:
+    """Fold stage for a key matrix: one uint64 digest per key under ``seed``.
+
+    Folds only the keys whose columns ``blocks.words`` holds, so a lookup
+    that has ruled keys out can pass ``blocks.words[:, alive]``.
+    """
+    words = blocks.words
+    mult = np.uint64(_MULT)
+    shift = np.uint64(_SHIFT)
+    h = np.full(words.shape[1], _initial_state(blocks, seed), dtype=np.uint64)
+    for k in words:
+        h ^= k
+        h *= mult
+    h ^= h >> shift
+    h *= mult
+    h ^= h >> shift
+    return h
+
+
 def hash_key(key: bytes, seed: int, variant: HashVariant = HashVariant.H4) -> int:
     """64-bit digest of ``key`` under ``seed`` and the given stride variant.
 
-    Total function: any byte string (including empty) hashes.  The final
-    partial block, when the key length is not a multiple of the stride, is
-    loaded and mixed exactly like a full round, and the key length is part
-    of the initial state, so zero-padding a key changes its digest.
+    Total function: any byte string (including empty) hashes.  The key
+    length is part of the initial state, so zero-padding a key changes its
+    digest.
     """
-    stride = int(variant)
-    h = (seed ^ (len(key) * _MULT) ^ (stride * _VARIANT_SALT)) & _MASK64
-    for off in range(0, len(key), stride):
-        k = int.from_bytes(key[off : off + stride], "little")
-        k = (k & _MASK64) ^ (k >> 64)
-        k = (k * _MULT) & _MASK64
-        k ^= k >> _SHIFT
-        k = (k * _MULT) & _MASK64
-        h ^= k
-        h = (h * _MULT) & _MASK64
-    h ^= h >> _SHIFT
-    h = (h * _MULT) & _MASK64
-    h ^= h >> _SHIFT
-    return h
+    return fold_key(mix_key(key, variant), seed)
 
 
 def hash_batch(
@@ -109,34 +201,6 @@ def hash_batch(
     """Digest every row of a ``(count, length)`` uint8 key matrix.
 
     Bit-identical to calling :func:`hash_key` on each row; the matrix form
-    exists so bulk filter operations can stay vectorised.  All keys in a
-    batch must share one length by construction of the matrix.
+    exists so bulk filter operations can stay vectorised.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.uint8)
-    if keys.ndim != 2:
-        raise ValueError(f"key matrix must be 2-D, got shape {keys.shape}")
-    count, length = keys.shape
-    stride = int(variant)
-    init = (seed ^ (length * _MULT) ^ (stride * _VARIANT_SALT)) & _MASK64
-    h = np.full(count, init, dtype=np.uint64)
-    mult = np.uint64(_MULT)
-    shift = np.uint64(_SHIFT)
-    for off in range(0, length, stride):
-        block = keys[:, off : off + stride]
-        k = np.zeros(count, dtype=np.uint64)
-        for pos in range(block.shape[1]):
-            col = block[:, pos].astype(np.uint64)
-            if pos < 8:
-                k |= col << np.uint64(8 * pos)
-            else:
-                # fold of the bytes that sit above the 64-bit boundary
-                k ^= col << np.uint64(8 * (pos - 8))
-        k *= mult
-        k ^= k >> shift
-        k *= mult
-        h ^= k
-        h *= mult
-    h ^= h >> shift
-    h *= mult
-    h ^= h >> shift
-    return h
+    return fold_batch(mix_batch(keys, variant), seed)

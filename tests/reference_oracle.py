@@ -1,4 +1,4 @@
-"""Brute-force reference used to check the two-dimensional filter."""
+"""Brute-force references used to check the hash kernel and the 2D filter."""
 
 from __future__ import annotations
 
@@ -6,6 +6,32 @@ import math
 
 from bloom2d.geometry import FilterGeometry
 from bloom2d.hashing import hash_key
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MULT = 0xC6A4A7935BD1E995
+
+
+def single_pass_digest(key: bytes, seed: int, stride: int) -> int:
+    """The H1..H9 digest computed the direct way: one pass over the key that
+    loads, mixes and folds each block into the seeded state in turn.
+
+    Written out independently of ``bloom2d.hashing``, whose two-stage
+    kernel (mix every block once, then fold per seed) must equal it.
+    """
+    h = (seed ^ (len(key) * _MULT) ^ (stride * 0x9E3779B97F4A7C15)) & _MASK64
+    for off in range(0, len(key), stride):
+        k = int.from_bytes(key[off : off + stride], "little")
+        k = (k & _MASK64) ^ (k >> 64)
+        k = (k * _MULT) & _MASK64
+        k ^= k >> 47
+        k = (k * _MULT) & _MASK64
+        h ^= k
+        h = (h * _MULT) & _MASK64
+    h ^= h >> 47
+    h = (h * _MULT) & _MASK64
+    h ^= h >> 47
+    return h
 
 
 class BitMatrixOracle:

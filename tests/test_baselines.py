@@ -152,6 +152,20 @@ class TestCountingBloomFilter:
         assert np.array_equal(batch.counters, scalar.counters)
         assert int(batch.counters.max()) == batch.COUNTER_MAX
 
+    @pytest.mark.parametrize("copies", [256, 300])
+    def test_batch_of_many_copies_keeps_membership(self, copies):
+        # 256 increments of one uint8 counter wrap it to 0 unless the
+        # repeats are counted in a wider type before the saturating add
+        corpus = generate_corpus(1, 19)
+        batch = CountingBloomFilter(500, 0.01)
+        batch.insert_batch(np.repeat(corpus.matrix, copies, axis=0))
+        assert batch.contains(corpus.key(0))
+        assert batch.contains_batch(corpus.matrix).all()
+        scalar = CountingBloomFilter(500, 0.01)
+        for _ in range(copies):
+            scalar.insert(corpus.key(0))
+        assert np.array_equal(batch.counters, scalar.counters)
+
     def test_contains_batch_matches_scalar(self):
         corpus = generate_corpus(2000, 23)
         f = CountingBloomFilter(2000, 0.01)

@@ -1,11 +1,14 @@
 """End-to-end CLI coverage: subcommands, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bloom2d
 from bloom2d.bench import CSV_COLUMNS
 from bloom2d.cli import main
 from bloom2d.workload import read_corpus, read_query_set
@@ -100,11 +103,16 @@ class TestErrorExits:
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, whether that came
+    # from an install, PYTHONPATH or pytest's own ``pythonpath`` setting
+    package_root = str(Path(bloom2d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "bloom2d", "--help"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "bench" in result.stdout

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
 from bloom2d.core import TwoDBloomFilter, cell_address
 from bloom2d.geometry import FilterGeometry, derive_geometry
 from bloom2d.hashing import HashVariant, derive_seeds, hash_key
@@ -215,6 +216,38 @@ class TestBatchEquivalence:
         f = TwoDBloomFilter.for_capacity(3000, 0.01)
         f.insert_batch(corpus.matrix)
         assert f.hash_calls == f.geometry.hash_count * len(corpus)
+
+    def test_lookup_digest_count_matches_scalar(self, corpus):
+        """On mixed hits and misses the batch lookup folds exactly the
+        digests the scalar short-circuit computes, key by key."""
+        f = TwoDBloomFilter.for_capacity(3000, 0.01)
+        f.insert_batch(corpus.matrix)
+        queries = make_query_set("mixed", corpus, 2000, 7)
+        f.hash_calls = 0
+        answers = f.contains_batch(queries.matrix)
+        batch_calls = f.hash_calls
+        f.hash_calls = 0
+        for row in queries.matrix:
+            f.contains(row.tobytes())
+        assert 0 < answers.sum() < len(queries)
+        assert batch_calls == f.hash_calls
+        assert len(queries) < batch_calls < f.geometry.hash_count * len(queries)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TwoDBloomFilter.for_capacity(1000, 0.01),
+    lambda: StandardBloomFilter(1000, 0.01),
+    lambda: CountingBloomFilter(1000, 0.01),
+], ids=["robustbf", "sbf", "cbf"])
+def test_empty_batch_is_a_no_op(make):
+    f = make()
+    storage = [a for a in vars(f).values() if isinstance(a, np.ndarray)]
+    empty = np.zeros((0, 20), dtype=np.uint8)
+    f.insert_batch(empty)
+    answers = f.contains_batch(empty)
+    assert answers.dtype == bool and answers.shape == (0,)
+    assert storage and not any(a.any() for a in storage)
+    assert f.hash_calls == 0 and f.inserted_count == 0
 
 
 class TestMemoryAccounting:

@@ -1,4 +1,5 @@
-"""Hash family: golden vectors, determinism, distribution, tail sensitivity."""
+"""Hash family: golden vectors, the two-stage kernel, determinism,
+distribution, tail sensitivity."""
 
 from pathlib import Path
 
@@ -8,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bloom2d.hashing import HashVariant, derive_seeds, hash_batch, hash_key
+from bloom2d.hashing import (
+    HashVariant,
+    derive_seeds,
+    fold_batch,
+    fold_key,
+    hash_batch,
+    hash_key,
+    mix_batch,
+    mix_key,
+)
+from reference_oracle import single_pass_digest
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "hash_golden_vectors.txt"
 
@@ -105,8 +116,59 @@ def test_batch_matches_scalar_property(length, seed, variant, corpus_seed):
 
 
 def test_batch_rejects_non_matrix():
-    with pytest.raises(ValueError):
-        hash_batch(np.zeros(8, dtype=np.uint8), 1, HashVariant.H4)
+    for shape in ((8,), (2, 3, 4)):
+        with pytest.raises(ValueError):
+            hash_batch(np.zeros(shape, dtype=np.uint8), 1, HashVariant.H4)
+        with pytest.raises(ValueError):
+            mix_batch(np.zeros(shape, dtype=np.uint8), HashVariant.H4)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_stages_match_single_pass_reference(variant):
+    """Block stage once, fold stage per seed, scalar and batch, equals the
+    direct one-pass digest at every length up to three blocks and a byte,
+    so full blocks, partial tails and the empty key are all covered."""
+    stride = variant.block_bytes
+    seeds = derive_seeds(3) + [0, 2**64 - 1]
+    rng = np.random.default_rng(500 + stride)
+    for length in range(3 * stride + 2):
+        matrix = rng.integers(0, 256, size=(6, length), dtype=np.uint8)
+        matrix[0] = 0xFF  # every slot byte set, including those above 64 bits
+        blocks = mix_batch(matrix, variant)
+        assert blocks.words.shape == (-(-length // stride), 6)
+        for i, row in enumerate(matrix):
+            key = row.tobytes()
+            scalar = mix_key(key, variant)
+            assert scalar == (blocks.words[:, i].tolist(), length, stride)
+        for seed in seeds:
+            expected = [single_pass_digest(row.tobytes(), seed, stride) for row in matrix]
+            assert fold_batch(blocks, seed).tolist() == expected
+            assert hash_batch(matrix, seed, variant).tolist() == expected
+            assert [fold_key(mix_key(row.tobytes(), variant), seed)
+                    for row in matrix] == expected
+            assert [hash_key(row.tobytes(), seed, variant) for row in matrix] == expected
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_stages_on_zero_row_matrix(variant):
+    for length in (0, 20):
+        matrix = np.zeros((0, length), dtype=np.uint8)
+        digests = fold_batch(mix_batch(matrix, variant), 7)
+        assert digests.dtype == np.uint64 and digests.shape == (0,)
+        assert hash_batch(matrix, 7, variant).shape == (0,)
+
+
+def test_fold_batch_reads_only_the_given_columns():
+    """A lookup folds the surviving keys' columns of the shared words; the
+    result equals hashing those keys alone."""
+    rng = np.random.default_rng(77)
+    matrix = rng.integers(0, 256, size=(50, 20), dtype=np.uint8)
+    blocks = mix_batch(matrix, HashVariant.H4)
+    alive = np.array([3, 4, 17, 49])
+    seed = derive_seeds(2)[1]
+    subset = blocks._replace(words=blocks.words[:, alive])
+    assert np.array_equal(fold_batch(subset, seed),
+                          hash_batch(matrix[alive], seed, HashVariant.H4))
 
 
 @pytest.fixture(scope="module")
