@@ -6,8 +6,9 @@ differences reflect structure rather than hash choice.  Probe positions
 come from double hashing: two digests h1, h2 per key and positions
 ``(h1 + i*h2) mod 2^64 mod m`` for i in [0, k).
 
-Concurrency contract matches the core filter: one writer or any number
-of readers per instance.
+Scalar operations read and write storage through a ``memoryview`` made
+on each call, as the core filter's do.  Concurrency contract matches the
+core filter: one writer or any number of readers per instance.
 """
 
 from __future__ import annotations
@@ -80,15 +81,17 @@ class StandardBloomFilter(_DoubleHashingFilter):
         self.words = np.zeros((self.bits + 63) // 64, dtype=np.uint64)
 
     def insert(self, key: bytes) -> None:
+        words = memoryview(self.words)
         for pos in self._positions(key):
-            self.words[pos >> 6] |= np.uint64(1 << (pos & 63))
+            words[pos >> 6] |= 1 << (pos & 63)
         self.probe_calls += self.hash_count
         self.inserted_count += 1
 
     def contains(self, key: bytes) -> bool:
+        words = memoryview(self.words)
         for pos in self._positions(key):
             self.probe_calls += 1
-            if not (int(self.words[pos >> 6]) >> (pos & 63)) & 1:
+            if not (words[pos >> 6] >> (pos & 63)) & 1:
                 return False
         return True
 
@@ -160,26 +163,29 @@ class CountingBloomFilter(_DoubleHashingFilter):
         self.counters = np.zeros(self.bits, dtype=np.uint8)
 
     def insert(self, key: bytes) -> None:
+        counters = memoryview(self.counters)
         for pos in self._positions(key):
-            value = int(self.counters[pos])
+            value = counters[pos]
             if value < self.COUNTER_MAX:
-                self.counters[pos] = value + 1
+                counters[pos] = value + 1
         self.probe_calls += self.hash_count
         self.inserted_count += 1
 
     def contains(self, key: bytes) -> bool:
+        counters = memoryview(self.counters)
         for pos in self._positions(key):
             self.probe_calls += 1
-            if self.counters[pos] == 0:
+            if not counters[pos]:
                 return False
         return True
 
     def remove(self, key: bytes) -> None:
         """Decrement the key's counters, skipping saturated and empty ones."""
+        counters = memoryview(self.counters)
         for pos in self._positions(key):
-            value = int(self.counters[pos])
+            value = counters[pos]
             if 0 < value < self.COUNTER_MAX:
-                self.counters[pos] = value - 1
+                counters[pos] = value - 1
         self.probe_calls += self.hash_count
         self.inserted_count = max(0, self.inserted_count - 1)
 

@@ -3,7 +3,12 @@
 Each membership probe derives a row, a column and a bit position from a
 single 64-bit digest by three independent moduli; an item occupies one
 bit in one cell per hash seed.  Insertion ORs those bits in, lookup
-requires all of them, and deletion XORs them back out when present.
+requires all of them, and deletion clears them.
+
+The scalar operations address with plain Python ints and read and write
+``cells`` through a ``memoryview`` made on each call, whose items are
+Python ints.  The view is never kept on the filter, so an array later
+assigned to ``cells`` is the one the next call uses.
 
 Deletion caveat: bits are shared, so removing a key that collides with
 another inserted key on some probe can introduce a false negative for
@@ -36,7 +41,11 @@ class CellAddress:
 
 
 def cell_address(digest: int, geometry: FilterGeometry) -> CellAddress:
-    """Map a 64-bit digest onto (row, col, bit) by independent moduli."""
+    """Map a 64-bit digest onto (row, col, bit) by independent moduli.
+
+    The filter's scalar and batch paths compute the same three moduli
+    inline rather than building an address per probe.
+    """
     bit = digest % geometry.cell_bits
     return CellAddress(
         row=digest % geometry.rows,
@@ -93,9 +102,12 @@ class TwoDBloomFilter:
     def insert(self, key: bytes) -> None:
         """Set one bit per seed; re-inserting a key changes no cell."""
         blocks = mix_key(key, self.variant)
+        g = self.geometry
+        rows, cols, cell_bits = g.rows, g.cols, g.cell_bits
+        cells = memoryview(self.cells)
         for seed in self.seeds:
-            addr = cell_address(fold_key(blocks, seed), self.geometry)
-            self.cells[addr.row, addr.col] |= np.uint64(addr.mask)
+            d = fold_key(blocks, seed)
+            cells[d % rows, d % cols] |= 1 << (d % cell_bits)
         self.hash_calls += len(self.seeds)
         self.inserted_count += 1
 
@@ -103,21 +115,25 @@ class TwoDBloomFilter:
         """True iff every probe bit is set; never false for an inserted,
         non-deleted key."""
         blocks = mix_key(key, self.variant)
+        g = self.geometry
+        rows, cols, cell_bits = g.rows, g.cols, g.cell_bits
+        cells = memoryview(self.cells)
         for seed in self.seeds:
             self.hash_calls += 1
-            addr = cell_address(fold_key(blocks, seed), self.geometry)
-            if not (int(self.cells[addr.row, addr.col]) >> addr.bit) & 1:
+            d = fold_key(blocks, seed)
+            if not (cells[d % rows, d % cols] >> (d % cell_bits)) & 1:
                 return False
         return True
 
     def remove(self, key: bytes) -> None:
         """Clear each probe bit that is currently set (see deletion caveat)."""
         blocks = mix_key(key, self.variant)
+        g = self.geometry
+        rows, cols, cell_bits = g.rows, g.cols, g.cell_bits
+        cells = memoryview(self.cells)
         for seed in self.seeds:
-            addr = cell_address(fold_key(blocks, seed), self.geometry)
-            cell = int(self.cells[addr.row, addr.col])
-            if (cell >> addr.bit) & 1:
-                self.cells[addr.row, addr.col] = np.uint64(cell ^ addr.mask)
+            d = fold_key(blocks, seed)
+            cells[d % rows, d % cols] &= ~(1 << (d % cell_bits))
         self.hash_calls += len(self.seeds)
         self.inserted_count = max(0, self.inserted_count - 1)
 

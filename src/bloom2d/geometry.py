@@ -19,6 +19,7 @@ from .primes import (
     PrimeTable,
     PrimeTableExhaustedError,
     default_table,
+    is_prime,
     largest_prime_at_most,
     select_prime,
 )
@@ -73,7 +74,8 @@ class FilterGeometry:
 
     ``rows``, ``cols`` and ``cell_bits`` are prime and rows != cols;
     ``cell_bits`` counts the usable low bits of each physically
-    ``cell_width``-bit cell.
+    ``cell_width``-bit cell.  Construction raises :class:`ValueError`
+    when any of these invariants, or ``hash_count >= 1``, fails.
     """
 
     rows: int
@@ -82,6 +84,23 @@ class FilterGeometry:
     hash_count: int
     cell_width: int
     trace: SizingTrace | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("rows", "cols", "cell_bits"):
+            if not is_prime(getattr(self, name)):
+                raise ValueError(f"{name} must be prime, got {getattr(self, name)}")
+        if self.rows == self.cols:
+            raise ValueError(f"rows and cols must differ, both are {self.rows}")
+        if self.cell_width not in SUPPORTED_CELL_WIDTHS:
+            raise ValueError(
+                f"cell_width must be one of {SUPPORTED_CELL_WIDTHS}, got {self.cell_width}"
+            )
+        if self.cell_bits > self.cell_width:
+            raise ValueError(
+                f"cell_bits {self.cell_bits} exceeds cell_width {self.cell_width}"
+            )
+        if self.hash_count < 1:
+            raise ValueError(f"hash_count must be >= 1, got {self.hash_count}")
 
     @property
     def memory_bits(self) -> int:

@@ -118,10 +118,13 @@ def mix_key(key: bytes, variant: HashVariant = HashVariant.H4) -> KeyBlocks:
     stride, is zero-padded and mixed exactly like a full block.
     """
     stride = int(variant)
+    wide = stride > 8  # narrower blocks are below 2**64: no high word
     words = []
     for off in range(0, len(key), stride):
         k = int.from_bytes(key[off : off + stride], "little")
-        k = ((k & _MASK64) ^ (k >> 64)) * _MULT & _MASK64
+        if wide:
+            k = (k & _MASK64) ^ (k >> 64)
+        k = k * _MULT & _MASK64
         k ^= k >> _SHIFT
         words.append(k * _MULT & _MASK64)
     return KeyBlocks(words, len(key), stride)

@@ -16,6 +16,20 @@ class PrimeTableExhaustedError(ValueError):
     """The requested target lies beyond the table's coverage."""
 
 
+def is_prime(value: int) -> bool:
+    """Primality by trial division up to sqrt(value)."""
+    if value < 2:
+        return False
+    if value % 2 == 0:
+        return value == 2
+    factor = 3
+    while factor * factor <= value:
+        if value % factor == 0:
+            return False
+        factor += 2
+    return True
+
+
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending (sieve of Eratosthenes)."""
     if limit < 2:

@@ -17,7 +17,9 @@ followed by a type-specific block:
     tag 2: bits Q, seeds 2*Q, words as raw <u8
     tag 3: counters Q, seeds 2*Q, counters as raw u1
 
-Round-trips are bit-exact.
+Round-trips are bit-exact.  Loading checks the length against the
+header and the shape's invariants, and rejects a malformed snapshot with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ _TAG_SBF = 2
 _TAG_CBF = 3
 
 _HEADER = struct.Struct("<8sHBBIQ")
+_SHAPE_2D = struct.Struct("<IIBB")  # rows, cols, cell_width, cell_bits
+_SHAPE_FLAT = struct.Struct("<3Q")  # bits, then the two seeds
 
 
 def save_filter(
@@ -66,18 +70,23 @@ def save_filter(
     ]
     if tag == _TAG_2D:
         g = f.geometry
-        chunks.append(struct.pack("<IIBB", g.rows, g.cols, g.cell_width, g.cell_bits))
+        chunks.append(_SHAPE_2D.pack(g.rows, g.cols, g.cell_width, g.cell_bits))
         chunks.append(struct.pack(f"<{len(f.seeds)}Q", *f.seeds))
         chunks.append(np.ascontiguousarray(f.cells, dtype="<u8").tobytes())
-    elif tag == _TAG_SBF:
-        chunks.append(struct.pack("<Q", f.bits))
-        chunks.append(struct.pack("<2Q", *f.seeds))
-        chunks.append(np.ascontiguousarray(f.words, dtype="<u8").tobytes())
     else:
-        chunks.append(struct.pack("<Q", f.bits))
-        chunks.append(struct.pack("<2Q", *f.seeds))
-        chunks.append(f.counters.tobytes())
+        chunks.append(_SHAPE_FLAT.pack(f.bits, *f.seeds))
+        if tag == _TAG_SBF:
+            chunks.append(np.ascontiguousarray(f.words, dtype="<u8").tobytes())
+        else:
+            chunks.append(f.counters.tobytes())
     Path(path).write_bytes(b"".join(chunks))
+
+
+def _check_length(raw: bytes, expected: int, path) -> None:
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path} holds {len(raw)} bytes, but its header describes {expected}"
+        )
 
 
 def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFilter:
@@ -86,6 +95,10 @@ def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFi
     Snapshots hold operational state only; the original sizing inputs
     (expected_items, fp_target) are not recorded and read back as zero
     on the flat filters.
+
+    A snapshot is untrusted input.  Its length must equal exactly what
+    its header describes, and the shape it names must be valid, before
+    any payload is read; anything else raises :class:`ValueError`.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -98,10 +111,11 @@ def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFi
     variant = HashVariant(variant_bytes)
     offset = _HEADER.size
     if tag == _TAG_2D:
-        rows, cols, cell_width, cell_bits = struct.unpack_from("<IIBB", raw, offset)
-        offset += struct.calcsize("<IIBB")
-        seeds = struct.unpack_from(f"<{hash_count}Q", raw, offset)
-        offset += 8 * hash_count
+        if len(raw) < offset + _SHAPE_2D.size:
+            raise ValueError(f"{path} is too short for a 2D filter shape")
+        rows, cols, cell_width, cell_bits = _SHAPE_2D.unpack_from(raw, offset)
+        offset += _SHAPE_2D.size
+        _check_length(raw, offset + 8 * hash_count + 8 * rows * cols, path)
         geometry = FilterGeometry(
             rows=rows,
             cols=cols,
@@ -109,16 +123,26 @@ def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFi
             hash_count=hash_count,
             cell_width=cell_width,
         )
+        seeds = struct.unpack_from(f"<{hash_count}Q", raw, offset)
+        offset += 8 * hash_count
         f = TwoDBloomFilter(geometry, variant, seeds)
         cells = np.frombuffer(raw, dtype="<u8", count=rows * cols, offset=offset)
         f.cells = cells.reshape(rows, cols).astype(np.uint64)
         f.inserted_count = inserted
         return f
     if tag in (_TAG_SBF, _TAG_CBF):
-        (bits,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        seeds = struct.unpack_from("<2Q", raw, offset)
-        offset += 16
+        if len(raw) < offset + _SHAPE_FLAT.size:
+            raise ValueError(f"{path} is too short for a flat filter shape")
+        bits, *seeds = _SHAPE_FLAT.unpack_from(raw, offset)
+        offset += _SHAPE_FLAT.size
+        # the sizing rule gives 1 <= hash_count <= bits for every filter
+        if not 1 <= hash_count <= bits:
+            raise ValueError(
+                f"flat filter needs 1 <= hash_count <= bits, "
+                f"got hash_count {hash_count} and bits {bits}"
+            )
+        payload = 8 * ((bits + 63) // 64) if tag == _TAG_SBF else bits
+        _check_length(raw, offset + payload, path)
         cls = StandardBloomFilter if tag == _TAG_SBF else CountingBloomFilter
         f = cls.__new__(cls)
         f.bits = bits

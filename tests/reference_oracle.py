@@ -1,4 +1,4 @@
-"""Brute-force references used to check the hash kernel and the 2D filter."""
+"""Brute-force references used to check the hash kernel and the filters."""
 
 from __future__ import annotations
 
@@ -71,6 +71,50 @@ class BitMatrixOracle:
             if (self.cells[row][col] & mask) >> shift != 1:
                 return False
         return True
+
+
+class DoubleHashingOracle:
+    """Plain-Python flat Bloom filter: the SBF when ``counting`` is false,
+    the CBF with 4-bit saturating counters when it is true.
+
+    Probe positions are ``(h1 + i*h2) mod 2^64 mod bits`` for i in
+    [0, hash_count), with h1 and h2 taken from :func:`hash_key` under the
+    filter's two seeds.  Storage is a plain list of ints, one per
+    position: a bit for the SBF, a counter capped at 15 for the CBF.
+    """
+
+    def __init__(self, bits, hash_count, variant, seeds, counting: bool) -> None:
+        self.bits = bits
+        self.hash_count = hash_count
+        self.variant = variant
+        self.seeds = list(seeds)
+        self.cap = 15 if counting else 1
+        self.slots = [0] * bits
+
+    def _positions(self, key: bytes) -> list[int]:
+        h1 = hash_key(key, self.seeds[0], self.variant)
+        h2 = hash_key(key, self.seeds[1], self.variant)
+        return [((h1 + i * h2) % 2**64) % self.bits for i in range(self.hash_count)]
+
+    def insert(self, key: bytes) -> None:
+        for pos in self._positions(key):
+            self.slots[pos] = min(self.slots[pos] + 1, self.cap)
+
+    def remove(self, key: bytes) -> None:
+        """Counting form only: decrement counters neither empty nor capped."""
+        for pos in self._positions(key):
+            if 0 < self.slots[pos] < self.cap:
+                self.slots[pos] -= 1
+
+    def lookup(self, key: bytes) -> bool:
+        return all(self.slots[pos] for pos in self._positions(key))
+
+    def words(self) -> list[int]:
+        """The bit list packed into 64-bit words, bit i of word w at w*64+i."""
+        return [
+            sum(bit << i for i, bit in enumerate(self.slots[w : w + 64]))
+            for w in range(0, self.bits, 64)
+        ]
 
 
 def designed_fpp(geometry: FilterGeometry, items: int) -> float:

@@ -9,6 +9,7 @@ from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
 from bloom2d.geometry import optimal_bits, optimal_hash_count
 from bloom2d.hashing import hash_key
 from bloom2d.workload import generate_corpus, make_query_set
+from reference_oracle import DoubleHashingOracle
 
 keys_st = st.binary(min_size=0, max_size=24)
 
@@ -190,3 +191,46 @@ class TestCountingBloomFilter:
         queries = make_query_set("disjoint", corpus, 50_000, 53)
         fpp = float(f.contains_batch(queries.matrix).mean())
         assert 0.0005 <= fpp <= 0.002
+
+
+@pytest.mark.parametrize("kind", ["sbf", "cbf"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scalar_ops_match_double_hashing_oracle(kind, data):
+    """Scalar insert/contains (and remove on the CBF) agree with the
+    plain-Python oracle on a random script over a small pool of keys of
+    mixed lengths, the empty key among them, and end in equal storage.
+    Each step repeats its action up to 20 times, so CBF counters reach
+    the cap of 15 and removes meet pinned counters."""
+    counting = kind == "cbf"
+    f = (CountingBloomFilter if counting else StandardBloomFilter)(20, 0.1)
+    oracle = DoubleHashingOracle(f.bits, f.hash_count, f.variant, f.seeds, counting)
+    pool = [b""] + data.draw(st.lists(keys_st, min_size=1, max_size=10))
+    actions = ["insert", "remove", "lookup"] if counting else ["insert", "lookup"]
+    script = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(actions),
+                st.integers(0, len(pool) - 1),
+                st.integers(1, 20),
+            ),
+            max_size=40,
+        )
+    )
+    for action, which, times in script:
+        key = pool[which]
+        for _ in range(times):
+            if action == "insert":
+                f.insert(key)
+                oracle.insert(key)
+            elif action == "remove":
+                f.remove(key)
+                oracle.remove(key)
+            else:
+                assert f.contains(key) == oracle.lookup(key)
+    for key in pool:
+        assert f.contains(key) == oracle.lookup(key)
+    if counting:
+        assert f.counters.tolist() == oracle.slots
+    else:
+        assert [int(w) for w in f.words] == oracle.words()

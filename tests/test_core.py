@@ -250,6 +250,27 @@ def test_empty_batch_is_a_no_op(make):
     assert f.hash_calls == 0 and f.inserted_count == 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TwoDBloomFilter.for_capacity(1500, 0.01),
+    lambda: StandardBloomFilter(1500, 0.01),
+    lambda: CountingBloomFilter(1500, 0.01),
+], ids=["robustbf", "sbf", "cbf"])
+def test_scalar_and_batch_inserts_give_equal_state(make):
+    """Storage, digest count and probe count agree between one
+    ``insert_batch`` and a scalar ``insert`` per key."""
+    corpus = generate_corpus(1500, 19)
+    batch, scalar = make(), make()
+    batch.insert_batch(corpus.matrix)
+    for key in corpus:
+        scalar.insert(key)
+    for name, value in vars(batch).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, getattr(scalar, name)), name
+    assert batch.hash_calls == scalar.hash_calls > 0
+    assert getattr(batch, "probe_calls", None) == getattr(scalar, "probe_calls", None)
+    assert batch.inserted_count == scalar.inserted_count == len(corpus)
+
+
 class TestMemoryAccounting:
     def test_toy_memory(self):
         assert toy_filter().memory_bits() == 13 * 11 * 64 == 9152

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from bloom2d.geometry import (
+    FilterGeometry,
     GeometryUnderflowError,
     derive_geometry,
     min_supported_items,
@@ -123,3 +124,40 @@ class TestDeriveGeometry:
         tiny = PrimeTable.up_to(200)
         with pytest.raises(PrimeTableExhaustedError):
             derive_geometry(10_000_000, 0.001, table=tiny)
+
+
+class TestGeometryInvariants:
+    VALID = dict(rows=13, cols=11, cell_bits=61, hash_count=2, cell_width=64)
+
+    def test_valid_shape_is_accepted(self):
+        g = FilterGeometry(**self.VALID)
+        assert (g.rows, g.cols, g.cell_bits) == (13, 11, 61)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(rows=10, cols=10, cell_bits=64),  # nothing prime, square
+            dict(rows=15),                          # rows not prime
+            dict(cols=1),                           # cols not prime
+            dict(cell_bits=63),                     # cell_bits not prime
+            dict(rows=11),                          # rows == cols
+            dict(cell_width=48),                    # unsupported width
+            dict(cell_bits=67),                     # prime, wider than the cell
+            dict(cell_bits=11, cell_width=8),       # prime, wider than the cell
+            dict(hash_count=0),
+            dict(hash_count=-1),
+        ],
+        ids=[
+            "square-composite", "rows-composite", "cols-one", "cell-bits-composite",
+            "rows-equal-cols", "width-48", "cell-bits-67-of-64", "cell-bits-11-of-8",
+            "hash-count-0", "hash-count-negative",
+        ],
+    )
+    def test_invalid_shape_is_rejected(self, change):
+        with pytest.raises(ValueError):
+            FilterGeometry(**{**self.VALID, **change})
+
+    @pytest.mark.parametrize("cell_width", [8, 16, 32, 64])
+    def test_derived_shapes_pass_the_checks(self, cell_width):
+        for n in (min_supported_items(0.01, cell_width), 100_000):
+            derive_geometry(n, 0.01, cell_width)

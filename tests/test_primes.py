@@ -9,6 +9,7 @@ from bloom2d.primes import (
     PrimeTable,
     PrimeTableExhaustedError,
     default_table,
+    is_prime,
     largest_prime_at_most,
     select_prime,
     sieve_primes,
@@ -32,6 +33,12 @@ def test_sieve_matches_trial_division_to_2000():
     sieved = set(sieve_primes(2000).tolist())
     for value in range(2001):
         assert (value in sieved) == trial_division_is_prime(value), value
+
+
+def test_is_prime_matches_trial_division_reference():
+    for value in range(-3, 2001):
+        assert is_prime(value) == trial_division_is_prime(value), value
+    assert is_prime(1_000_003) and not is_prime(1_000_001)
 
 
 def test_sieve_small_limits():

@@ -1,12 +1,27 @@
 """Binary snapshot round trips for all three filter types."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
 from bloom2d.core import TwoDBloomFilter
+from bloom2d.geometry import FilterGeometry
 from bloom2d.snapshot import MAGIC, load_filter, save_filter
 from bloom2d.workload import generate_corpus
+
+# header: magic 8s, version H, tag B, variant B, hash_count I at 12,
+# inserted Q; then the 2D shape (rows I at 24, cols I, cell_width B,
+# cell_bits B at 33, seeds from 34) or the flat shape (bits Q at 24,
+# seeds 2Q, payload from 48)
+HASH_COUNT_AT = 12
+CELL_BITS_AT = 33
+BITS_AT = 24
+SEEDS_2D_AT = 34
+KEYS = [b"", b"a", b"needle", b"haystack-key-0001", bytes(range(40))]
 
 
 @pytest.fixture()
@@ -102,3 +117,145 @@ def test_bad_files_are_rejected(tmp_path):
     bad_version.write_bytes(MAGIC + (99).to_bytes(2, "little") + bytes(40))
     with pytest.raises(ValueError):
         load_filter(bad_version)
+
+
+def small_filters():
+    """One small filter of each type, with a few keys inserted."""
+    filters = {
+        "robustbf": TwoDBloomFilter(
+            FilterGeometry(rows=5, cols=3, cell_bits=61, hash_count=2, cell_width=64)
+        ),
+        "sbf": StandardBloomFilter(20, 0.1),
+        "cbf": CountingBloomFilter(20, 0.1),
+    }
+    for f in filters.values():
+        for key in KEYS[:3]:
+            f.insert(key)
+    return filters
+
+
+def snapshot_bytes(tmp_path, f) -> bytes:
+    path = tmp_path / "source.snap"
+    save_filter(f, path)
+    return path.read_bytes()
+
+
+def load_bytes(tmp_path, raw: bytes):
+    path = tmp_path / "candidate.snap"
+    path.write_bytes(raw)
+    return load_filter(path)
+
+
+def patched(raw: bytes, offset: int, fmt: str, value: int) -> bytes:
+    out = bytearray(raw)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
+def test_trailing_byte_is_rejected(tmp_path, kind):
+    raw = snapshot_bytes(tmp_path, small_filters()[kind])
+    load_bytes(tmp_path, raw)  # the exact bytes load
+    with pytest.raises(ValueError):
+        load_bytes(tmp_path, raw + b"\0")
+
+
+@pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
+def test_every_truncation_is_rejected(tmp_path, kind):
+    raw = snapshot_bytes(tmp_path, small_filters()[kind])
+    assert len(raw) < 200
+    for length in range(len(raw)):
+        with pytest.raises(ValueError):
+            load_bytes(tmp_path, raw[:length])
+
+
+def test_two_d_zero_hash_count_is_rejected(tmp_path):
+    # drop both seeds so the length still matches a zero-seed header
+    raw = snapshot_bytes(tmp_path, small_filters()["robustbf"])
+    raw = patched(raw, HASH_COUNT_AT, "<I", 0)
+    raw = raw[:SEEDS_2D_AT] + raw[SEEDS_2D_AT + 16 :]
+    with pytest.raises(ValueError):
+        load_bytes(tmp_path, raw)
+
+
+def test_two_d_cell_bits_wider_than_cell_is_rejected(tmp_path):
+    raw = snapshot_bytes(tmp_path, small_filters()["robustbf"])
+    with pytest.raises(ValueError):
+        load_bytes(tmp_path, patched(raw, CELL_BITS_AT, "<B", 200))
+
+
+def test_hash_count_beyond_the_bytes_present_is_rejected(tmp_path):
+    for f in small_filters().values():
+        raw = snapshot_bytes(tmp_path, f)
+        with pytest.raises(ValueError):
+            load_bytes(tmp_path, patched(raw, HASH_COUNT_AT, "<I", 2**32 - 1))
+
+
+@pytest.mark.parametrize("kind", ["sbf", "cbf"])
+def test_flat_zero_hash_count_is_rejected(tmp_path, kind):
+    raw = snapshot_bytes(tmp_path, small_filters()[kind])
+    with pytest.raises(ValueError):
+        load_bytes(tmp_path, patched(raw, HASH_COUNT_AT, "<I", 0))
+
+
+@pytest.mark.parametrize("kind", ["sbf", "cbf"])
+def test_flat_zero_bits_is_rejected(tmp_path, kind):
+    # zero bits and no payload: the length matches what the header says
+    raw = snapshot_bytes(tmp_path, small_filters()[kind])
+    raw = patched(raw, BITS_AT, "<Q", 0)[:48]
+    with pytest.raises(ValueError):
+        load_bytes(tmp_path, raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["robustbf", "sbf", "cbf"]),
+    edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=4),
+)
+def test_mutated_snapshot_loads_whole_or_raises_value_error(tmp_path_factory, kind, edits):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    out = bytearray(snapshot_bytes(tmp_path, small_filters()[kind]))
+    for offset, value in edits:
+        out[offset % len(out)] = value
+    try:
+        f = load_bytes(tmp_path, bytes(out))
+    except ValueError:
+        return
+    for key in KEYS:  # a snapshot that loads is usable
+        f.insert(key)
+        assert f.contains(key)
+
+
+@pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
+def test_reloaded_filter_scalar_ops_match_original(tmp_path, kind):
+    original = small_filters()[kind]
+    reloaded = load_bytes(tmp_path, snapshot_bytes(tmp_path, original))
+    removes = hasattr(original, "remove")
+    for key in KEYS:
+        assert reloaded.contains(key) == original.contains(key)
+        original.insert(key + b"+")
+        reloaded.insert(key + b"+")
+        if removes:
+            original.remove(key)
+            reloaded.remove(key)
+        assert reloaded.contains(key) == original.contains(key)
+        assert reloaded.contains(key + b"+") and original.contains(key + b"+")
+    assert snapshot_bytes(tmp_path, reloaded) == snapshot_bytes(tmp_path, original)
+
+
+@pytest.mark.parametrize("kind,field", [
+    ("robustbf", "cells"), ("sbf", "words"), ("cbf", "counters"),
+])
+def test_scalar_ops_write_a_reassigned_array(kind, field):
+    f = small_filters()[kind]
+    old = getattr(f, field)
+    before = old.copy()
+    setattr(f, field, np.zeros_like(old))
+    assert not f.contains(KEYS[1])
+    f.insert(KEYS[4])
+    assert getattr(f, field).any()
+    assert f.contains(KEYS[4])
+    if hasattr(f, "remove"):
+        f.remove(KEYS[4])
+        assert not getattr(f, field).any()
+    assert np.array_equal(old, before)  # the replaced array is never touched
