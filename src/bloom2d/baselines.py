@@ -6,6 +6,12 @@ differences reflect structure rather than hash choice.  Probe positions
 come from double hashing: two digests h1, h2 per key and positions
 ``(h1 + i*h2) mod 2^64 mod m`` for i in [0, k).
 
+Positions are derived by a running sum, ``g <- (g + h2) mod 2^64`` from
+``g = h1``, one probe at a time.  Lookups derive a position only for keys
+still alive, so they stop at a key's first empty slot, and batch paths
+never hold the k x count position matrix, except the counting filter's
+batch insert, which sorts it once for its saturating add.
+
 Scalar operations read and write storage through a ``memoryview`` made
 on each call, as the core filter's do.  Concurrency contract matches the
 core filter: one writer or any number of readers per instance.
@@ -48,23 +54,61 @@ class _DoubleHashingFilter:
         self.hash_calls = 0
         self.probe_calls = 0
 
-    def _positions(self, key: bytes) -> list[int]:
+    def _digests(self, key: bytes) -> tuple[int, int]:
+        """The key's (h1, h2): its blocks mixed once, folded per seed."""
         blocks = mix_key(key, self.variant)
-        h1 = fold_key(blocks, self.seeds[0])
-        h2 = fold_key(blocks, self.seeds[1])
         self.hash_calls += 2
-        return [((h1 + i * h2) & _MASK64) % self.bits for i in range(self.hash_count)]
+        return fold_key(blocks, self.seeds[0]), fold_key(blocks, self.seeds[1])
 
-    def _position_matrix(self, keys: np.ndarray) -> np.ndarray:
-        """(hash_count, count) probe positions for a uint8 key matrix."""
+    def _digest_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(h1, h2) as two fresh uint64 arrays for a uint8 key matrix."""
         blocks = mix_batch(keys, self.variant)
         h1 = fold_batch(blocks, self.seeds[0])
         h2 = fold_batch(blocks, self.seeds[1])
         self.hash_calls += 2 * h1.size
-        positions = np.arange(self.hash_count, dtype=np.uint64)[:, None] * h2
-        positions += h1
-        positions %= np.uint64(self.bits)
+        return h1, h2
+
+    def _positions(self, key: bytes) -> list[int]:
+        g, step = self._digests(key)
+        positions = []
+        for _ in range(self.hash_count):
+            positions.append(g % self.bits)
+            g = (g + step) & _MASK64
         return positions
+
+    def _position_matrix(self, keys: np.ndarray) -> np.ndarray:
+        """(hash_count, count) probe positions for a uint8 key matrix."""
+        g, step = self._digest_batch(keys)
+        m = np.uint64(self.bits)
+        positions = np.empty((self.hash_count, g.size), dtype=np.uint64)
+        for row in positions:
+            np.remainder(g, m, out=row)
+            g += step
+        return positions
+
+    def _slots_set(self, pos: np.ndarray) -> np.ndarray:
+        """Whether the slot at each uint64 position is nonzero.
+
+        A position is below ``bits``, far below 2^63, so its int64 view
+        is the same index.
+        """
+        raise NotImplementedError
+
+    def contains_batch(self, keys: np.ndarray) -> np.ndarray:
+        g, step = self._digest_batch(keys)
+        result = np.ones(g.size, dtype=bool)
+        alive = np.arange(g.size)
+        m = np.uint64(self.bits)
+        for _ in range(self.hash_count):
+            self.probe_calls += int(alive.size)
+            hit = self._slots_set(g % m)
+            if not hit.all():
+                result[alive[~hit]] = False
+                alive, g, step = alive[hit], g[hit], step[hit]
+                if alive.size == 0:
+                    break
+            g += step  # uint64 arrays wrap mod 2^64
+        return result
 
 
 class StandardBloomFilter(_DoubleHashingFilter):
@@ -89,35 +133,33 @@ class StandardBloomFilter(_DoubleHashingFilter):
 
     def contains(self, key: bytes) -> bool:
         words = memoryview(self.words)
-        for pos in self._positions(key):
-            self.probe_calls += 1
+        g, step = self._digests(key)
+        bits = self.bits
+        for i in range(self.hash_count):
+            pos = g % bits
             if not (words[pos >> 6] >> (pos & 63)) & 1:
+                self.probe_calls += i + 1
                 return False
+            g = (g + step) & _MASK64
+        self.probe_calls += self.hash_count
         return True
 
     def insert_batch(self, keys: np.ndarray) -> None:
-        positions = self._position_matrix(keys)
-        for row in positions:
-            idx = (row >> np.uint64(6)).astype(np.intp)
-            np.bitwise_or.at(self.words, idx, np.uint64(1) << (row & np.uint64(63)))
-        self.probe_calls += positions.size
-        self.inserted_count += positions.shape[1]
+        g, step = self._digest_batch(keys)
+        m = np.uint64(self.bits)
+        for _ in range(self.hash_count):
+            pos = g % m
+            idx = (pos >> np.uint64(6)).view(np.int64)
+            np.bitwise_or.at(self.words, idx, np.uint64(1) << (pos & np.uint64(63)))
+            g += step
+        self.probe_calls += self.hash_count * g.size
+        self.inserted_count += g.size
 
-    def contains_batch(self, keys: np.ndarray) -> np.ndarray:
-        positions = self._position_matrix(keys)
-        count = positions.shape[1]
-        result = np.ones(count, dtype=bool)
-        alive = np.arange(count)
-        for row in positions:
-            if alive.size == 0:
-                break
-            pos = row[alive]
-            self.probe_calls += int(alive.size)
-            hit = (self.words[(pos >> np.uint64(6)).astype(np.intp)]
-                   >> (pos & np.uint64(63))) & np.uint64(1)
-            result[alive[hit == 0]] = False
-            alive = alive[hit == 1]
-        return result
+    def _slots_set(self, pos: np.ndarray) -> np.ndarray:
+        bit = self.words[(pos >> np.uint64(6)).view(np.int64)]
+        bit >>= pos & np.uint64(63)
+        bit &= np.uint64(1)
+        return bit.astype(bool)
 
     def memory_bits(self) -> int:
         """Logical footprint: exactly the sized bit budget m."""
@@ -173,10 +215,14 @@ class CountingBloomFilter(_DoubleHashingFilter):
 
     def contains(self, key: bytes) -> bool:
         counters = memoryview(self.counters)
-        for pos in self._positions(key):
-            self.probe_calls += 1
-            if not counters[pos]:
+        g, step = self._digests(key)
+        bits = self.bits
+        for i in range(self.hash_count):
+            if not counters[g % bits]:
+                self.probe_calls += i + 1
                 return False
+            g = (g + step) & _MASK64
+        self.probe_calls += self.hash_count
         return True
 
     def remove(self, key: bytes) -> None:
@@ -198,19 +244,8 @@ class CountingBloomFilter(_DoubleHashingFilter):
         self.probe_calls += positions.size
         self.inserted_count += positions.shape[1]
 
-    def contains_batch(self, keys: np.ndarray) -> np.ndarray:
-        positions = self._position_matrix(keys)
-        count = positions.shape[1]
-        result = np.ones(count, dtype=bool)
-        alive = np.arange(count)
-        for row in positions:
-            if alive.size == 0:
-                break
-            self.probe_calls += int(alive.size)
-            hit = self.counters[row[alive].astype(np.intp)] > 0
-            result[alive[~hit]] = False
-            alive = alive[hit]
-        return result
+    def _slots_set(self, pos: np.ndarray) -> np.ndarray:
+        return self.counters[pos.view(np.int64)] != 0
 
     def memory_bits(self) -> int:
         """Logical footprint: four bits per counter."""

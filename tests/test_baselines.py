@@ -1,8 +1,10 @@
 """Flat Bloom filter and counting Bloom filter baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
@@ -12,6 +14,15 @@ from bloom2d.workload import generate_corpus, make_query_set
 from reference_oracle import DoubleHashingOracle
 
 keys_st = st.binary(min_size=0, max_size=24)
+
+
+def assert_positions_follow_double_hashing(f, key):
+    h1 = hash_key(key, f.seeds[0], f.variant)
+    h2 = hash_key(key, f.seeds[1], f.variant)
+    expected = [
+        ((h1 + i * h2) & 0xFFFFFFFFFFFFFFFF) % f.bits for i in range(f.hash_count)
+    ]
+    assert f._positions(key) == expected
 
 
 class TestStandardBloomFilter:
@@ -34,15 +45,12 @@ class TestStandardBloomFilter:
         f.insert(b"needle")
         assert f.contains(b"needle")
 
-    def test_positions_follow_double_hashing(self):
-        f = StandardBloomFilter(1000, 0.01)
-        key = b"double-hash probe"
-        h1 = hash_key(key, f.seeds[0], f.variant)
-        h2 = hash_key(key, f.seeds[1], f.variant)
-        expected = [
-            ((h1 + i * h2) & 0xFFFFFFFFFFFFFFFF) % f.bits for i in range(f.hash_count)
-        ]
-        assert f._positions(key) == expected
+    @settings(max_examples=100, deadline=None)
+    @given(key=keys_st)
+    @example(key=b"")
+    @example(key=b"double-hash probe")
+    def test_positions_follow_double_hashing(self, key):
+        assert_positions_follow_double_hashing(StandardBloomFilter(1000, 0.01), key)
 
     @settings(max_examples=50, deadline=None)
     @given(keys=st.lists(keys_st, min_size=1, max_size=120, unique=True))
@@ -83,6 +91,12 @@ class TestCountingBloomFilter:
         f = CountingBloomFilter(1_000_000, 0.001)
         assert f.memory_bits() == 4 * f.bits
         assert f.memory_bits() / 1_000_000 == pytest.approx(57.51, abs=0.01)
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=keys_st)
+    @example(key=b"")
+    def test_positions_follow_double_hashing(self, key):
+        assert_positions_follow_double_hashing(CountingBloomFilter(1000, 0.01), key)
 
     def test_insert_remove_round_trip(self):
         f = CountingBloomFilter(1000, 0.01)
@@ -234,3 +248,100 @@ def test_scalar_ops_match_double_hashing_oracle(kind, data):
         assert f.counters.tolist() == oracle.slots
     else:
         assert [int(w) for w in f.words] == oracle.words()
+
+
+def key_matrix(keys: list[bytes], length: int) -> np.ndarray:
+    """The keys, all ``length`` bytes long, as a (len(keys), length) uint8 matrix."""
+    return np.array([list(key) for key in keys], dtype=np.uint8).reshape(len(keys), length)
+
+
+@pytest.mark.parametrize("kind", ["sbf", "cbf"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_ops_match_double_hashing_oracle(kind, data):
+    """``insert_batch``/``contains_batch`` (and scalar ``remove`` on the
+    CBF) agree with the plain-Python oracle on a random script.  Each
+    batch takes one key length from a pool of several keys per length,
+    the empty key among them, repeats keys up to 20 times (so CBF
+    counters reach the cap of 15 inside one batch) and may be empty."""
+    counting = kind == "cbf"
+    f = (CountingBloomFilter if counting else StandardBloomFilter)(50, 0.05)
+    oracle = DoubleHashingOracle(f.bits, f.hash_count, f.variant, f.seeds, counting)
+    lengths = [0] + data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=3, unique=True))
+    pool = {
+        length: data.draw(
+            st.lists(st.binary(min_size=length, max_size=length), min_size=1, max_size=8, unique=True)
+        )
+        for length in lengths
+    }
+    actions = ["insert", "lookup", "remove"] if counting else ["insert", "lookup"]
+    for _ in range(data.draw(st.integers(1, 12))):
+        action = data.draw(st.sampled_from(actions))
+        length = data.draw(st.sampled_from(lengths))
+        if action == "remove":
+            key = data.draw(st.sampled_from(pool[length]))
+            f.remove(key)
+            oracle.remove(key)
+            continue
+        picks = data.draw(
+            st.lists(st.tuples(st.sampled_from(pool[length]), st.integers(1, 20)), max_size=6)
+        )
+        batch = [key for key, copies in picks for _ in range(copies)]
+        matrix = key_matrix(batch, length)
+        if action == "insert":
+            f.insert_batch(matrix)
+            for key in batch:
+                oracle.insert(key)
+        else:
+            answers = f.contains_batch(matrix)
+            assert answers.dtype == bool
+            assert answers.tolist() == [oracle.lookup(key) for key in batch]
+    for length, keys in pool.items():
+        answers = f.contains_batch(key_matrix(keys, length))
+        assert answers.tolist() == [oracle.lookup(key) for key in keys]
+    if counting:
+        assert f.counters.tolist() == oracle.slots
+    else:
+        assert [int(w) for w in f.words] == oracle.words()
+
+
+@pytest.mark.parametrize("cls", [StandardBloomFilter, CountingBloomFilter], ids=["sbf", "cbf"])
+def test_lookup_counters_match_scalar(cls):
+    """On mixed hits and misses the batch lookup computes the digests and
+    makes the probes the scalar short-circuit makes, key by key."""
+    corpus = generate_corpus(3000, 31)
+    f = cls(3000, 0.01)
+    f.insert_batch(corpus.matrix)
+    queries = make_query_set("mixed", corpus, 2000, 37)
+    f.hash_calls = f.probe_calls = 0
+    answers = f.contains_batch(queries.matrix)
+    batch_counts = (f.hash_calls, f.probe_calls)
+    f.hash_calls = f.probe_calls = 0
+    for row in queries.matrix:
+        f.contains(row.tobytes())
+    assert 0 < answers.sum() < len(queries)
+    assert batch_counts == (f.hash_calls, f.probe_calls)
+    assert len(queries) < f.probe_calls < f.hash_count * len(queries)
+
+
+@pytest.mark.parametrize("kind, op", [
+    ("sbf", "insert_batch"),
+    ("sbf", "contains_batch"),
+    ("cbf", "contains_batch"),
+])
+def test_batch_transient_memory_per_key(kind, op):
+    """A batch call holds O(1) uint64 arrays of one entry per key at a
+    time, not the k x count position matrix (k = 10 here, 80 B/key on
+    its own); the bound sits between the two."""
+    corpus = generate_corpus(200_000, 59)
+    f = (CountingBloomFilter if kind == "cbf" else StandardBloomFilter)(len(corpus), 0.001)
+    if op == "contains_batch":
+        f.insert_batch(corpus.matrix)  # every key a hit: all k rows stay alive
+    tracemalloc.start()
+    try:
+        getattr(f, op)(corpus.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.hash_count == 10
+    assert peak / len(corpus) < 96
