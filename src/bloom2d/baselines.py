@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import optimal_bits, optimal_hash_count
-from .hashing import HashVariant, derive_seeds, fold_batch, fold_key, mix_batch, mix_key
+from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_batch
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -55,10 +55,9 @@ class _DoubleHashingFilter:
         self.probe_calls = 0
 
     def _digests(self, key: bytes) -> tuple[int, int]:
-        """The key's (h1, h2): its blocks mixed once, folded per seed."""
-        blocks = mix_key(key, self.variant)
+        """The key's (h1, h2), both from one pass over the key."""
         self.hash_calls += 2
-        return fold_key(blocks, self.seeds[0]), fold_key(blocks, self.seeds[1])
+        return hash_key_seeds(key, self.seeds, self.variant)
 
     def _digest_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(h1, h2) as two fresh uint64 arrays for a uint8 key matrix."""

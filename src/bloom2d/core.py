@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import FilterGeometry, derive_geometry
-from .hashing import HashVariant, derive_seeds, fold_batch, fold_key, mix_batch, mix_key
+from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_batch
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,9 @@ def cell_address(digest: int, geometry: FilterGeometry) -> CellAddress:
 class TwoDBloomFilter:
     """Prime-dimension matrix of fixed-width cells with bit-level deletion.
 
-    ``hash_calls`` counts digest computations (one per probe) and exists
-    purely for benchmark instrumentation; ``inserted_count`` is
+    ``hash_calls`` counts probes evaluated, one digest each (a lookup
+    that stops at its first unset bit counts only the probes up to it),
+    and exists purely for benchmark instrumentation; ``inserted_count`` is
     bookkeeping and never gates any operation.
     """
 
@@ -101,12 +102,10 @@ class TwoDBloomFilter:
 
     def insert(self, key: bytes) -> None:
         """Set one bit per seed; re-inserting a key changes no cell."""
-        blocks = mix_key(key, self.variant)
         g = self.geometry
         rows, cols, cell_bits = g.rows, g.cols, g.cell_bits
         cells = memoryview(self.cells)
-        for seed in self.seeds:
-            d = fold_key(blocks, seed)
+        for d in hash_key_seeds(key, self.seeds, self.variant):
             cells[d % rows, d % cols] |= 1 << (d % cell_bits)
         self.hash_calls += len(self.seeds)
         self.inserted_count += 1
@@ -114,25 +113,21 @@ class TwoDBloomFilter:
     def contains(self, key: bytes) -> bool:
         """True iff every probe bit is set; never false for an inserted,
         non-deleted key."""
-        blocks = mix_key(key, self.variant)
         g = self.geometry
         rows, cols, cell_bits = g.rows, g.cols, g.cell_bits
         cells = memoryview(self.cells)
-        for seed in self.seeds:
+        for d in hash_key_seeds(key, self.seeds, self.variant):
             self.hash_calls += 1
-            d = fold_key(blocks, seed)
             if not (cells[d % rows, d % cols] >> (d % cell_bits)) & 1:
                 return False
         return True
 
     def remove(self, key: bytes) -> None:
         """Clear each probe bit that is currently set (see deletion caveat)."""
-        blocks = mix_key(key, self.variant)
         g = self.geometry
         rows, cols, cell_bits = g.rows, g.cols, g.cell_bits
         cells = memoryview(self.cells)
-        for seed in self.seeds:
-            d = fold_key(blocks, seed)
+        for d in hash_key_seeds(key, self.seeds, self.variant):
             cells[d % rows, d % cols] &= ~(1 << (d % cell_bits))
         self.hash_calls += len(self.seeds)
         self.inserted_count = max(0, self.inserted_count - 1)

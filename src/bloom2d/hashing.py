@@ -10,29 +10,28 @@ Strides wider than 8 bytes do not fit a 64-bit word; the bytes above the
 word boundary are XOR-folded back into the low word before mixing, so
 every byte of every block still reaches the digest.
 
-A digest is computed in two stages, because the per-block mix does not
-depend on the seed:
-
-* the **block stage** (:func:`mix_key`, :func:`mix_batch`) loads each
-  block of a key, zero-padded to a 64-bit word, and mixes it once;
-* the **fold stage** (:func:`fold_key`, :func:`fold_batch`) folds those
-  words into one seed's initial state, which also holds the key length
-  and the stride, and finalizes.
-
-A filter that needs k digests of a key runs the block stage once and the
-fold stage k times.  :func:`hash_key` and :func:`hash_batch` are the two
-stages composed for a single seed.
+The per-block mix does not depend on the seed, so a key's blocks are
+mixed once however many digests a filter takes of it.  The scalar path,
+:func:`hash_key_seeds`, makes one pass over a key and folds each mixed
+block into all k seed states at once, held in 128-bit lanes of one
+Python int.  The batch path keeps two stages: :func:`mix_batch` loads
+and mixes every key's blocks once, and :func:`fold_batch` folds them
+into one seed's initial state (which also holds the key length and the
+stride) and finalizes.  :func:`hash_key` is the scalar path for one seed
+and :func:`hash_batch` the batch stages composed for one seed.
 
 The committed golden-vector fixture (newline-delimited
 ``hex(key),seed,variant,hex(digest)`` records) anchors these digests
 bit-for-bit; any change to the constants or round structure below is a
-breaking format change.  Splitting the work into stages is not: the
-stages compute exactly the rounds a single pass would.
+breaking format change.  Sharing the mix between seeds is not: both
+paths compute exactly the rounds a single pass per seed would.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -95,49 +94,58 @@ def derive_seeds(count: int) -> list[int]:
 
 
 class KeyBlocks(NamedTuple):
-    """Seed-free block stage output, shared by every seed's fold.
+    """Batch block stage output, shared by every seed's fold.
 
-    ``words`` holds the mixed block words: a list of ints for one key, or
-    a ``(rounds, count)`` uint64 array for a key matrix, one row per
-    block so that each fold round reads contiguous memory.
+    ``words`` is a ``(rounds, count)`` uint64 array of mixed block words,
+    one row per block so that each fold round reads contiguous memory.
     """
 
-    words: list[int] | np.ndarray
+    words: np.ndarray
     length: int
     stride: int
 
 
-def _initial_state(blocks: KeyBlocks, seed: int) -> int:
-    return (seed ^ (blocks.length * _MULT) ^ (blocks.stride * _VARIANT_SALT)) & _MASK64
+@functools.lru_cache(maxsize=256)
+def _lanes(seeds: tuple[int, ...]):
+    """Lane constants for :func:`hash_key_seeds`: ``sum(2**(128*i))``, the
+    lane mask, the packed seeds and an unpacker of every lane's low word."""
+    rep = sum(1 << 128 * i for i in range(len(seeds)))
+    packed = sum((seed & _MASK64) << 128 * i for i, seed in enumerate(seeds))
+    unpack = struct.Struct("<" + "Q8x" * len(seeds)).unpack
+    return rep, _MASK64 * rep, packed, unpack, 16 * len(seeds)
 
 
-def mix_key(key: bytes, variant: HashVariant = HashVariant.H4) -> KeyBlocks:
-    """Block stage for one key: its mixed block words as Python ints.
+def hash_key_seeds(
+    key: bytes, seeds: tuple[int, ...], variant: HashVariant = HashVariant.H4
+) -> tuple[int, ...]:
+    """64-bit digests of ``key`` under each of ``seeds``, in seed order.
 
-    The final partial block, when the key length is not a multiple of the
-    stride, is zero-padded and mixed exactly like a full block.
+    One pass: each block is taken off the key, loaded once as an int,
+    mixed once and folded into every seed's state together, seed i's in
+    bits [128*i, 128*i + 64) of one int.  A lane's product with the
+    multiplier stays below 2**128, so no carry crosses a lane, and the
+    shift-xor masks off the bits the next lane brings down.  ``variant``,
+    an IntEnum, serves as the stride without an ``int()`` call.
     """
-    stride = int(variant)
-    wide = stride > 8  # narrower blocks are below 2**64: no high word
-    words = []
-    for off in range(0, len(key), stride):
-        k = int.from_bytes(key[off : off + stride], "little")
+    rep, lane_mask, h, unpack, size = _lanes(seeds)
+    length = len(key)
+    h ^= ((length * _MULT ^ variant * _VARIANT_SALT) & _MASK64) * rep
+    value = int.from_bytes(key, "little")
+    bits = 8 * variant
+    block = (1 << bits) - 1
+    wide = variant > 8  # narrower blocks are below 2**64: no high word
+    for _ in range(0, length, variant):
+        k = value & block
+        value >>= bits
         if wide:
             k = (k & _MASK64) ^ (k >> 64)
         k = k * _MULT & _MASK64
         k ^= k >> _SHIFT
-        words.append(k * _MULT & _MASK64)
-    return KeyBlocks(words, len(key), stride)
-
-
-def fold_key(blocks: KeyBlocks, seed: int) -> int:
-    """Fold stage for one key: its 64-bit digest under ``seed``."""
-    h = _initial_state(blocks, seed)
-    for k in blocks.words:
-        h = (h ^ k) * _MULT & _MASK64
-    h ^= h >> _SHIFT
-    h = h * _MULT & _MASK64
-    return h ^ (h >> _SHIFT)
+        h = (h ^ (k * _MULT & _MASK64) * rep) * _MULT & lane_mask
+    h ^= h >> _SHIFT & lane_mask
+    h = h * _MULT & lane_mask
+    h ^= h >> _SHIFT & lane_mask
+    return unpack(h.to_bytes(size, "little"))
 
 
 def mix_batch(
@@ -178,7 +186,8 @@ def fold_batch(blocks: KeyBlocks, seed: int) -> np.ndarray:
     words = blocks.words
     mult = np.uint64(_MULT)
     shift = np.uint64(_SHIFT)
-    h = np.full(words.shape[1], _initial_state(blocks, seed), dtype=np.uint64)
+    state = (seed ^ (blocks.length * _MULT) ^ (blocks.stride * _VARIANT_SALT)) & _MASK64
+    h = np.full(words.shape[1], state, dtype=np.uint64)
     for k in words:
         h ^= k
         h *= mult
@@ -193,9 +202,9 @@ def hash_key(key: bytes, seed: int, variant: HashVariant = HashVariant.H4) -> in
 
     Total function: any byte string (including empty) hashes.  The key
     length is part of the initial state, so zero-padding a key changes its
-    digest.
+    digest.  Only the low 64 bits of ``seed`` count.
     """
-    return fold_key(mix_key(key, variant), seed)
+    return hash_key_seeds(key, (seed,), variant)[0]
 
 
 def hash_batch(

@@ -92,13 +92,18 @@ def encode_values(values: np.ndarray) -> np.ndarray:
 
 
 def decode_keys(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`encode_values` for well-formed 20-digit keys."""
-    matrix = np.asarray(matrix, dtype=np.uint8)
+    """Inverse of :func:`encode_values`; a non-digit byte or a value of
+    2**64 or more raises ``ValueError`` instead of wrapping."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
+    if np.any((matrix < ord("0")) | (matrix > ord("9"))):
+        raise ValueError(f"keys must be {KEY_WIDTH} decimal digits")
+    # equal-width digit strings order as their values do
+    if np.any(matrix.view(f"S{KEY_WIDTH}") > str(_UNIVERSE - 1).encode()):
+        raise ValueError("keys must be below 2**64")
     values = np.zeros(matrix.shape[0], dtype=np.uint64)
     ten = np.uint64(10)
-    zero = np.uint64(ord("0"))
-    for col in range(KEY_WIDTH):
-        values = values * ten + (matrix[:, col].astype(np.uint64) - zero)
+    for digits in (matrix - np.uint8(ord("0"))).T:
+        values = values * ten + digits
     return values
 
 
@@ -207,6 +212,8 @@ def write_corpus(corpus: KeyCorpus, path) -> None:
 def read_corpus(path) -> KeyCorpus:
     matrix = _read_keys(Path(path))
     values = decode_keys(matrix)
+    if np.any(values >= np.uint64(_HALF)):
+        raise ValueError(f"{path} holds keys of 2**63 or more; corpus keys are below it")
     if np.unique(values).size != values.size:
         raise ValueError(f"{path} holds duplicate keys; a corpus must be distinct")
     order = np.argsort(values, kind="stable")

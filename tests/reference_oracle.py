@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from bloom2d.geometry import FilterGeometry
-from bloom2d.hashing import hash_key
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -16,8 +17,9 @@ def single_pass_digest(key: bytes, seed: int, stride: int) -> int:
     """The H1..H9 digest computed the direct way: one pass over the key that
     loads, mixes and folds each block into the seeded state in turn.
 
-    Written out independently of ``bloom2d.hashing``, whose two-stage
-    kernel (mix every block once, then fold per seed) must equal it.
+    Written out independently of ``bloom2d.hashing``, whose kernels (the
+    scalar one folds every seed at once in lanes of one int, the batch one
+    mixes every block once, then folds per seed) must equal it.
     """
     h = (seed ^ (len(key) * _MULT) ^ (stride * 0x9E3779B97F4A7C15)) & _MASK64
     for off in range(0, len(key), stride):
@@ -36,8 +38,8 @@ def single_pass_digest(key: bytes, seed: int, stride: int) -> int:
 
 class BitMatrixOracle:
     """Literal application of the per-probe OR / guarded-XOR / AND-shift
-    rules on a plain Python nested list, with the same digests the real
-    filter computes.
+    rules on a plain Python nested list, with digests from
+    :func:`single_pass_digest`, which must equal the real filter's.
 
     Deliberately naive: this is the independent reference the filter is
     checked against, so it shares no array or addressing code with it.
@@ -45,13 +47,13 @@ class BitMatrixOracle:
 
     def __init__(self, geometry: FilterGeometry, variant, seeds) -> None:
         self.geometry = geometry
-        self.variant = variant
+        self.stride = int(variant)
         self.seeds = list(seeds)
         self.cells = [[0] * geometry.cols for _ in range(geometry.rows)]
 
     def _addresses(self, key: bytes):
         for seed in self.seeds:
-            digest = hash_key(key, seed, self.variant)
+            digest = single_pass_digest(key, seed, self.stride)
             row = digest % self.geometry.rows
             col = digest % self.geometry.cols
             shift = digest % self.geometry.cell_bits
@@ -78,22 +80,22 @@ class DoubleHashingOracle:
     the CBF with 4-bit saturating counters when it is true.
 
     Probe positions are ``(h1 + i*h2) mod 2^64 mod bits`` for i in
-    [0, hash_count), with h1 and h2 taken from :func:`hash_key` under the
-    filter's two seeds.  Storage is a plain list of ints, one per
+    [0, hash_count), with h1 and h2 taken from :func:`single_pass_digest`
+    under the filter's two seeds.  Storage is a plain list of ints, one per
     position: a bit for the SBF, a counter capped at 15 for the CBF.
     """
 
     def __init__(self, bits, hash_count, variant, seeds, counting: bool) -> None:
         self.bits = bits
         self.hash_count = hash_count
-        self.variant = variant
+        self.stride = int(variant)
         self.seeds = list(seeds)
         self.cap = 15 if counting else 1
         self.slots = [0] * bits
 
     def _positions(self, key: bytes) -> list[int]:
-        h1 = hash_key(key, self.seeds[0], self.variant)
-        h2 = hash_key(key, self.seeds[1], self.variant)
+        h1 = single_pass_digest(key, self.seeds[0], self.stride)
+        h2 = single_pass_digest(key, self.seeds[1], self.stride)
         return [((h1 + i * h2) % 2**64) % self.bits for i in range(self.hash_count)]
 
     def insert(self, key: bytes) -> None:
@@ -115,6 +117,11 @@ class DoubleHashingOracle:
             sum(bit << i for i, bit in enumerate(self.slots[w : w + 64]))
             for w in range(0, self.bits, 64)
         ]
+
+
+def key_matrix(keys: list[bytes], length: int) -> np.ndarray:
+    """The keys, all ``length`` bytes long, as a (len(keys), length) uint8 matrix."""
+    return np.array([list(key) for key in keys], dtype=np.uint8).reshape(len(keys), length)
 
 
 def designed_fpp(geometry: FilterGeometry, items: int) -> float:

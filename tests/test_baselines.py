@@ -11,7 +11,7 @@ from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
 from bloom2d.geometry import optimal_bits, optimal_hash_count
 from bloom2d.hashing import hash_key
 from bloom2d.workload import generate_corpus, make_query_set
-from reference_oracle import DoubleHashingOracle
+from reference_oracle import DoubleHashingOracle, key_matrix
 
 keys_st = st.binary(min_size=0, max_size=24)
 
@@ -248,11 +248,6 @@ def test_scalar_ops_match_double_hashing_oracle(kind, data):
         assert f.counters.tolist() == oracle.slots
     else:
         assert [int(w) for w in f.words] == oracle.words()
-
-
-def key_matrix(keys: list[bytes], length: int) -> np.ndarray:
-    """The keys, all ``length`` bytes long, as a (len(keys), length) uint8 matrix."""
-    return np.array([list(key) for key in keys], dtype=np.uint8).reshape(len(keys), length)
 
 
 @pytest.mark.parametrize("kind", ["sbf", "cbf"])

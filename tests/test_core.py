@@ -10,7 +10,7 @@ from bloom2d.core import TwoDBloomFilter, cell_address
 from bloom2d.geometry import FilterGeometry, derive_geometry
 from bloom2d.hashing import HashVariant, derive_seeds, hash_key
 from bloom2d.workload import generate_corpus, make_query_set
-from reference_oracle import BitMatrixOracle, designed_fpp, fpp_bound
+from reference_oracle import BitMatrixOracle, designed_fpp, fpp_bound, key_matrix
 
 TOY = FilterGeometry(rows=13, cols=11, cell_bits=61, hash_count=2, cell_width=64)
 
@@ -168,6 +168,52 @@ def test_matches_bit_matrix_oracle(data):
     for row in range(f.geometry.rows):
         for col in range(f.geometry.cols):
             assert int(f.cells[row, col]) == oracle.cells[row][col]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_ops_match_bit_matrix_oracle(data):
+    """``insert_batch``/``contains_batch``, with scalar ``remove``
+    interleaved, agree with the nested-list reference on a random script.
+    Each batch takes one key length from a pool of several keys per
+    length, the empty key among them, repeats keys (in-batch duplicates)
+    and may be empty; the script ends in equal cells.  The filter has
+    42 usable bits, so lookups often pass early probes and fail later."""
+    geometry = FilterGeometry(rows=3, cols=2, cell_bits=7, hash_count=3, cell_width=64)
+    f = TwoDBloomFilter(geometry, HashVariant.H4)
+    oracle = BitMatrixOracle(f.geometry, f.variant, f.seeds)
+    lengths = [0] + data.draw(st.lists(st.integers(1, 32), min_size=1, max_size=3, unique=True))
+    pool = {
+        length: data.draw(
+            st.lists(st.binary(min_size=length, max_size=length), min_size=1, max_size=8, unique=True)
+        )
+        for length in lengths
+    }
+    for _ in range(data.draw(st.integers(1, 12))):
+        action = data.draw(st.sampled_from(["insert", "lookup", "remove"]))
+        length = data.draw(st.sampled_from(lengths))
+        if action == "remove":
+            key = data.draw(st.sampled_from(pool[length]))
+            f.remove(key)
+            oracle.remove(key)
+            continue
+        picks = data.draw(
+            st.lists(st.tuples(st.sampled_from(pool[length]), st.integers(1, 4)), max_size=6)
+        )
+        batch = [key for key, copies in picks for _ in range(copies)]
+        matrix = key_matrix(batch, length)
+        if action == "insert":
+            f.insert_batch(matrix)
+            for key in batch:
+                oracle.insert(key)
+        else:
+            answers = f.contains_batch(matrix)
+            assert answers.dtype == bool
+            assert answers.tolist() == [oracle.lookup(key) for key in batch]
+    for length, keys in pool.items():
+        answers = f.contains_batch(key_matrix(keys, length))
+        assert answers.tolist() == [oracle.lookup(key) for key in keys]
+    assert f.cells.tolist() == oracle.cells
 
 
 class TestBatchEquivalence:

@@ -1,5 +1,5 @@
-"""Hash family: golden vectors, the two-stage kernel, determinism,
-distribution, tail sensitivity."""
+"""Hash family: golden vectors, the lane-parallel scalar kernel, the
+two-stage batch kernel, determinism, distribution, tail sensitivity."""
 
 from pathlib import Path
 
@@ -13,11 +13,10 @@ from bloom2d.hashing import (
     HashVariant,
     derive_seeds,
     fold_batch,
-    fold_key,
     hash_batch,
     hash_key,
+    hash_key_seeds,
     mix_batch,
-    mix_key,
 )
 from reference_oracle import single_pass_digest
 
@@ -125,9 +124,10 @@ def test_batch_rejects_non_matrix():
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_stages_match_single_pass_reference(variant):
-    """Block stage once, fold stage per seed, scalar and batch, equals the
-    direct one-pass digest at every length up to three blocks and a byte,
-    so full blocks, partial tails and the empty key are all covered."""
+    """The batch stages (block stage once, fold stage per seed) and the
+    scalar lane-parallel kernel equal the direct one-pass digest at every
+    length up to three blocks and a byte, so full blocks, partial tails
+    and the empty key are all covered."""
     stride = variant.block_bytes
     seeds = derive_seeds(3) + [0, 2**64 - 1]
     rng = np.random.default_rng(500 + stride)
@@ -136,17 +136,39 @@ def test_stages_match_single_pass_reference(variant):
         matrix[0] = 0xFF  # every slot byte set, including those above 64 bits
         blocks = mix_batch(matrix, variant)
         assert blocks.words.shape == (-(-length // stride), 6)
-        for i, row in enumerate(matrix):
-            key = row.tobytes()
-            scalar = mix_key(key, variant)
-            assert scalar == (blocks.words[:, i].tolist(), length, stride)
+        assert (blocks.length, blocks.stride) == (length, stride)
         for seed in seeds:
             expected = [single_pass_digest(row.tobytes(), seed, stride) for row in matrix]
             assert fold_batch(blocks, seed).tolist() == expected
             assert hash_batch(matrix, seed, variant).tolist() == expected
-            assert [fold_key(mix_key(row.tobytes(), variant), seed)
-                    for row in matrix] == expected
             assert [hash_key(row.tobytes(), seed, variant) for row in matrix] == expected
+        for row in matrix:
+            key = row.tobytes()
+            assert list(hash_key_seeds(key, tuple(seeds), variant)) == [
+                single_pass_digest(key, seed, stride) for seed in seeds
+            ]
+
+
+# seeds at and past the 64-bit edges: only their low 64 bits count
+edge_seeds_st = st.sampled_from([0, 2**64 - 1, -1, 2**64 + 5]) | seeds_st
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=variants_st,
+    data=st.data(),
+    seeds=st.lists(edge_seeds_st, min_size=1, max_size=12),
+)
+def test_scalar_kernel_matches_single_pass_reference(variant, data, seeds):
+    """All k lanes of one pass equal k independent one-pass digests, for
+    keys up to three blocks and a byte and for long keys, with seeds
+    reduced to their low 64 bits as :func:`hash_key` reduces them."""
+    stride = variant.block_bytes
+    key = data.draw(st.binary(max_size=3 * stride + 1) | st.binary(min_size=64, max_size=300))
+    digests = hash_key_seeds(key, tuple(seeds), variant)
+    expected = [single_pass_digest(key, seed & 2**64 - 1, stride) for seed in seeds]
+    assert list(digests) == expected
+    assert [hash_key(key, seed, variant) for seed in seeds] == expected
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -177,6 +177,37 @@ class TestFiles:
         with pytest.raises(ValueError):
             read_corpus(path)
 
+    @pytest.mark.parametrize("key", [b"99999999999999999999", b"18446744073709551616"])
+    def test_key_of_2_pow_64_or_more_rejected(self, tmp_path, key):
+        with pytest.raises(ValueError):
+            decode_keys(np.frombuffer(key, dtype=np.uint8).reshape(1, KEY_WIDTH))
+        path = tmp_path / "big.keys"
+        path.write_bytes(key + b"\n")
+        with pytest.raises(ValueError):
+            read_corpus(path)
+
+    def test_non_digit_key_rejected(self, tmp_path):
+        key = b"0000000000000000000a"
+        with pytest.raises(ValueError):
+            decode_keys(np.frombuffer(key, dtype=np.uint8).reshape(1, KEY_WIDTH))
+        path = tmp_path / "letter.keys"
+        path.write_bytes(b"00000000000000000001\n" + key + b"\n")
+        with pytest.raises(ValueError):
+            read_corpus(path)
+
+    def test_high_half_key_rejected_from_corpus(self, tmp_path):
+        """2**64 - 1 is a valid key but not a corpus key: the corpus holds
+        the low half only, so that ``disjoint`` queries stay non-members."""
+        top = np.array([2**64 - 1, _HALF, _HALF - 1], dtype=np.uint64)
+        assert np.array_equal(decode_keys(encode_values(top)), top)
+        for value in (2**64 - 1, _HALF):
+            path = tmp_path / "high.keys"
+            path.write_bytes(b"00000000000000000001\n" + b"%020d\n" % value)
+            with pytest.raises(ValueError):
+                read_corpus(path)
+        path.write_bytes(b"%020d\n" % (_HALF - 1))
+        assert read_corpus(path).values.tolist() == [_HALF - 1]
+
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.keys"
         path.write_bytes(b"too-short\n")
