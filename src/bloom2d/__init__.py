@@ -16,7 +16,7 @@ from .bench import (
     run_insert_bench,
     run_lookup_bench,
 )
-from .core import CellAddress, TwoDBloomFilter, cell_address
+from .core import TwoDBloomFilter
 from .geometry import (
     FilterGeometry,
     GeometryUnderflowError,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig",
-    "CellAddress",
     "CountingBloomFilter",
     "FilterGeometry",
     "GeometryUnderflowError",
@@ -65,7 +64,6 @@ __all__ = [
     "SizingTrace",
     "StandardBloomFilter",
     "TwoDBloomFilter",
-    "cell_address",
     "default_table",
     "derive_geometry",
     "derive_seeds",

@@ -1,8 +1,10 @@
 """Flat Bloom filter and counting Bloom filter baselines.
 
-Both are sized from the same (expected_items, fp_target) inputs as the
-two-dimensional filter and hash with the same digest family, so benchmark
-differences reflect structure rather than hash choice.  Probe positions
+The constructor sizes both from the same (expected_items, fp_target)
+inputs as the two-dimensional filter; ``from_shape`` builds one from its
+slot count m and probe count k instead, as a snapshot load does.  Both
+hash with the 2D filter's digest family, so benchmark differences reflect
+structure rather than hash choice.  Probe positions
 come from double hashing: two digests h1, h2 per key and positions
 ``(h1 + i*h2) mod 2^64 mod m`` for i in [0, k).
 
@@ -23,14 +25,19 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _Filter
 from .geometry import optimal_bits, optimal_hash_count
-from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_batch
+from .hashing import HashVariant, fold_batch, hash_key_seeds, mix_batch
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-class _DoubleHashingFilter:
-    """Shared sizing, hashing and probe-position plumbing."""
+class _DoubleHashingFilter(_Filter):
+    """Shared sizing, hashing and probe-position plumbing.
+
+    ``hash_calls`` counts digests computed, two per key, and
+    ``probe_calls`` the probe positions touched.
+    """
 
     def __init__(
         self,
@@ -39,20 +46,38 @@ class _DoubleHashingFilter:
         variant: HashVariant = HashVariant.H4,
         seeds: Sequence[int] | None = None,
     ) -> None:
-        self.bits = optimal_bits(expected_items, fp_target)
-        self.hash_count = optimal_hash_count(self.bits, expected_items)
-        self.expected_items = expected_items
-        self.fp_target = fp_target
-        self.variant = HashVariant(variant)
-        if seeds is None:
-            seeds = derive_seeds(2)
-        if len(seeds) != 2:
-            raise ValueError(f"double hashing needs exactly 2 seeds, got {len(seeds)}")
-        self.seeds = tuple(int(s) for s in seeds)
-        self.inserted_count = 0
-        # instrumentation: digests computed / probe positions touched
-        self.hash_calls = 0
+        super().__init__(variant, seeds, 2)
         self.probe_calls = 0
+        bits = optimal_bits(expected_items, fp_target)
+        self._shape(bits, optimal_hash_count(bits, expected_items))
+
+    @classmethod
+    def from_shape(
+        cls,
+        bits: int,
+        hash_count: int,
+        variant: HashVariant = HashVariant.H4,
+        seeds: Sequence[int] | None = None,
+    ):
+        """An empty filter of ``bits`` slots and ``hash_count`` probes per key."""
+        f = cls(1, 0.5, variant, seeds)  # sized for one item, then reshaped
+        f._shape(bits, hash_count)
+        return f
+
+    def _shape(self, bits: int, hash_count: int) -> None:
+        # the sizing rule gives 1 <= hash_count <= bits for every filter
+        if not 1 <= hash_count <= bits:
+            raise ValueError(
+                f"flat filter needs 1 <= hash_count <= bits, "
+                f"got hash_count {hash_count} and bits {bits}"
+            )
+        self.bits = bits
+        self.hash_count = hash_count
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """Give the filter empty storage for ``bits`` slots."""
+        raise NotImplementedError
 
     def _digests(self, key: bytes) -> tuple[int, int]:
         """The key's (h1, h2), both from one pass over the key."""
@@ -113,14 +138,7 @@ class _DoubleHashingFilter:
 class StandardBloomFilter(_DoubleHashingFilter):
     """Classic m-bit Bloom filter; no deletion, no false negatives."""
 
-    def __init__(
-        self,
-        expected_items: int,
-        fp_target: float,
-        variant: HashVariant = HashVariant.H4,
-        seeds: Sequence[int] | None = None,
-    ) -> None:
-        super().__init__(expected_items, fp_target, variant, seeds)
+    def _allocate(self) -> None:
         self.words = np.zeros((self.bits + 63) // 64, dtype=np.uint64)
 
     def insert(self, key: bytes) -> None:
@@ -167,20 +185,6 @@ class StandardBloomFilter(_DoubleHashingFilter):
     def count_set_bits(self) -> int:
         return int(np.unpackbits(self.words.view(np.uint8)).sum())
 
-    def save(self, path) -> None:
-        from . import snapshot
-
-        snapshot.save_filter(self, path)
-
-    @classmethod
-    def load(cls, path) -> "StandardBloomFilter":
-        from . import snapshot
-
-        loaded = snapshot.load_filter(path)
-        if not isinstance(loaded, cls):
-            raise ValueError(f"{path} does not hold a {cls.__name__} snapshot")
-        return loaded
-
 
 class CountingBloomFilter(_DoubleHashingFilter):
     """Bloom filter over m four-bit saturating counters, so removal works.
@@ -193,14 +197,7 @@ class CountingBloomFilter(_DoubleHashingFilter):
 
     COUNTER_MAX = 15
 
-    def __init__(
-        self,
-        expected_items: int,
-        fp_target: float,
-        variant: HashVariant = HashVariant.H4,
-        seeds: Sequence[int] | None = None,
-    ) -> None:
-        super().__init__(expected_items, fp_target, variant, seeds)
+    def _allocate(self) -> None:
         self.counters = np.zeros(self.bits, dtype=np.uint8)
 
     def insert(self, key: bytes) -> None:
@@ -249,17 +246,3 @@ class CountingBloomFilter(_DoubleHashingFilter):
     def memory_bits(self) -> int:
         """Logical footprint: four bits per counter."""
         return 4 * self.bits
-
-    def save(self, path) -> None:
-        from . import snapshot
-
-        snapshot.save_filter(self, path)
-
-    @classmethod
-    def load(cls, path) -> "CountingBloomFilter":
-        from . import snapshot
-
-        loaded = snapshot.load_filter(path)
-        if not isinstance(loaded, cls):
-            raise ValueError(f"{path} does not hold a {cls.__name__} snapshot")
-        return loaded

@@ -21,7 +21,6 @@ readers; there is no internal synchronisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,38 +29,45 @@ from .geometry import FilterGeometry, derive_geometry
 from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_batch
 
 
-@dataclass(frozen=True)
-class CellAddress:
-    """Where a digest lands: cell (row, col), bit index, and its mask."""
+class _Filter:
+    """What every filter holds besides its storage: the hash variant, one
+    seed per digest a key needs, the bookkeeping ``inserted_count`` (it
+    never gates an operation), the instrumentation counter ``hash_calls``,
+    and the snapshot ``save``/``load`` pair."""
 
-    row: int
-    col: int
-    bit: int
-    mask: int
+    def __init__(
+        self, variant: HashVariant, seeds: Sequence[int] | None, seed_count: int
+    ) -> None:
+        if seeds is None:
+            seeds = derive_seeds(seed_count)
+        if len(seeds) != seed_count:
+            raise ValueError(f"need {seed_count} seeds, got {len(seeds)}")
+        self.variant = HashVariant(variant)
+        self.seeds = tuple(int(s) for s in seeds)
+        self.inserted_count = 0
+        self.hash_calls = 0
+
+    def save(self, path) -> None:
+        from . import snapshot
+
+        snapshot.save_filter(self, path)
+
+    @classmethod
+    def load(cls, path):
+        """The filter a snapshot holds; ``ValueError`` unless it is a ``cls``."""
+        from . import snapshot
+
+        loaded = snapshot.load_filter(path)
+        if not isinstance(loaded, cls):
+            raise ValueError(f"{path} does not hold a {cls.__name__} snapshot")
+        return loaded
 
 
-def cell_address(digest: int, geometry: FilterGeometry) -> CellAddress:
-    """Map a 64-bit digest onto (row, col, bit) by independent moduli.
-
-    The filter's scalar and batch paths compute the same three moduli
-    inline rather than building an address per probe.
-    """
-    bit = digest % geometry.cell_bits
-    return CellAddress(
-        row=digest % geometry.rows,
-        col=digest % geometry.cols,
-        bit=bit,
-        mask=1 << bit,
-    )
-
-
-class TwoDBloomFilter:
+class TwoDBloomFilter(_Filter):
     """Prime-dimension matrix of fixed-width cells with bit-level deletion.
 
     ``hash_calls`` counts probes evaluated, one digest each (a lookup
-    that stops at its first unset bit counts only the probes up to it),
-    and exists purely for benchmark instrumentation; ``inserted_count`` is
-    bookkeeping and never gates any operation.
+    that stops at its first unset bit counts only the probes up to it).
     """
 
     def __init__(
@@ -70,18 +76,9 @@ class TwoDBloomFilter:
         variant: HashVariant = HashVariant.H4,
         seeds: Sequence[int] | None = None,
     ) -> None:
-        if seeds is None:
-            seeds = derive_seeds(geometry.hash_count)
-        if len(seeds) != geometry.hash_count:
-            raise ValueError(
-                f"need {geometry.hash_count} seeds, got {len(seeds)}"
-            )
+        super().__init__(variant, seeds, geometry.hash_count)
         self.geometry = geometry
-        self.variant = HashVariant(variant)
-        self.seeds = tuple(int(s) for s in seeds)
         self.cells = np.zeros((geometry.rows, geometry.cols), dtype=np.uint64)
-        self.inserted_count = 0
-        self.hash_calls = 0
 
     @classmethod
     def for_capacity(
@@ -187,17 +184,3 @@ class TwoDBloomFilter:
         """Fraction of the usable (rows * cols * cell_bits) bits set."""
         g = self.geometry
         return self.count_set_bits() / (g.rows * g.cols * g.cell_bits)
-
-    def save(self, path) -> None:
-        from . import snapshot
-
-        snapshot.save_filter(self, path)
-
-    @classmethod
-    def load(cls, path) -> "TwoDBloomFilter":
-        from . import snapshot
-
-        loaded = snapshot.load_filter(path)
-        if not isinstance(loaded, cls):
-            raise ValueError(f"{path} does not hold a {cls.__name__} snapshot")
-        return loaded

@@ -7,9 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_LIMIT = 10_000_000
-# Tables at or below this size are scanned linearly; larger ones use
-# binary search.  Both return the same index.
-_LINEAR_SCAN_MAX = 10_000
 
 
 class PrimeTableExhaustedError(ValueError):
@@ -75,10 +72,6 @@ def select_prime(table: PrimeTable, target: float) -> int:
         raise PrimeTableExhaustedError(
             f"prime table with limit {table.limit} has no prime above {target}"
         )
-    if primes.size <= _LINEAR_SCAN_MAX:
-        for index, prime in enumerate(primes):
-            if prime > target:
-                return index
     return int(np.searchsorted(primes, target, side="right"))
 
 

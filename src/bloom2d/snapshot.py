@@ -18,7 +18,8 @@ followed by a type-specific block:
     tag 3: counters Q, seeds 2*Q, counters as raw u1
 
 Round-trips are bit-exact.  Loading checks the length against the
-header and the shape's invariants, and rejects a malformed snapshot with
+header, the shape's invariants and that the payload is a state some
+sequence of operations reaches, and rejects a malformed snapshot with
 ``ValueError``.
 """
 
@@ -92,13 +93,15 @@ def _check_length(raw: bytes, expected: int, path) -> None:
 def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFilter:
     """Rebuild a filter from a snapshot.
 
-    Snapshots hold operational state only; the original sizing inputs
-    (expected_items, fp_target) are not recorded and read back as zero
-    on the flat filters.
+    Snapshots hold operational state only; the instrumentation counters
+    ``hash_calls`` and ``probe_calls`` start again at zero.
 
     A snapshot is untrusted input.  Its length must equal exactly what
-    its header describes, and the shape it names must be valid, before
-    any payload is read; anything else raises :class:`ValueError`.
+    its header describes before any filter is built, the shape it names
+    must be valid, and the payload may hold no bit a filter never sets:
+    no cell bit at or above ``cell_bits``, no SBF word bit past ``bits``
+    and no CBF counter above ``COUNTER_MAX``.  Anything else raises
+    :class:`ValueError`.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -127,37 +130,27 @@ def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFi
         offset += 8 * hash_count
         f = TwoDBloomFilter(geometry, variant, seeds)
         cells = np.frombuffer(raw, dtype="<u8", count=rows * cols, offset=offset)
-        f.cells = cells.reshape(rows, cols).astype(np.uint64)
-        f.inserted_count = inserted
-        return f
-    if tag in (_TAG_SBF, _TAG_CBF):
+        f.cells[...] = cells.reshape(rows, cols)
+        if int(f.cells.max()) >> cell_bits:
+            raise ValueError(f"{path} sets a cell bit at or above cell_bits {cell_bits}")
+    elif tag in (_TAG_SBF, _TAG_CBF):
         if len(raw) < offset + _SHAPE_FLAT.size:
             raise ValueError(f"{path} is too short for a flat filter shape")
         bits, *seeds = _SHAPE_FLAT.unpack_from(raw, offset)
         offset += _SHAPE_FLAT.size
-        # the sizing rule gives 1 <= hash_count <= bits for every filter
-        if not 1 <= hash_count <= bits:
-            raise ValueError(
-                f"flat filter needs 1 <= hash_count <= bits, "
-                f"got hash_count {hash_count} and bits {bits}"
-            )
-        payload = 8 * ((bits + 63) // 64) if tag == _TAG_SBF else bits
-        _check_length(raw, offset + payload, path)
-        cls = StandardBloomFilter if tag == _TAG_SBF else CountingBloomFilter
-        f = cls.__new__(cls)
-        f.bits = bits
-        f.hash_count = hash_count
-        f.expected_items = 0
-        f.fp_target = 0.0
-        f.variant = variant
-        f.seeds = tuple(seeds)
-        f.inserted_count = inserted
-        f.hash_calls = 0
-        f.probe_calls = 0
         if tag == _TAG_SBF:
-            words = np.frombuffer(raw, dtype="<u8", count=(bits + 63) // 64, offset=offset)
-            f.words = words.astype(np.uint64)
+            _check_length(raw, offset + 8 * ((bits + 63) // 64), path)
+            f = StandardBloomFilter.from_shape(bits, hash_count, variant, seeds)
+            f.words[:] = np.frombuffer(raw, dtype="<u8", count=f.words.size, offset=offset)
+            if bits % 64 and int(f.words[-1]) >> bits % 64:
+                raise ValueError(f"{path} sets a bit past bits {bits}")
         else:
-            f.counters = np.frombuffer(raw, dtype=np.uint8, count=bits, offset=offset).copy()
-        return f
-    raise ValueError(f"unknown snapshot type tag {tag}")
+            _check_length(raw, offset + bits, path)
+            f = CountingBloomFilter.from_shape(bits, hash_count, variant, seeds)
+            f.counters[:] = np.frombuffer(raw, dtype=np.uint8, count=bits, offset=offset)
+            if f.counters.max() > f.COUNTER_MAX:
+                raise ValueError(f"{path} holds a counter above {f.COUNTER_MAX}")
+    else:
+        raise ValueError(f"unknown snapshot type tag {tag}")
+    f.inserted_count = inserted
+    return f

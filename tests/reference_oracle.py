@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,6 +12,28 @@ from bloom2d.geometry import FilterGeometry
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MULT = 0xC6A4A7935BD1E995
+
+
+@dataclass(frozen=True)
+class CellAddress:
+    """Where a digest lands: cell (row, col), bit index, and its mask."""
+
+    row: int
+    col: int
+    bit: int
+    mask: int
+
+
+def cell_address(digest: int, geometry: FilterGeometry) -> CellAddress:
+    """Map a 64-bit digest onto (row, col, bit) by independent moduli, as
+    the 2D filter's scalar and batch paths do inline."""
+    bit = digest % geometry.cell_bits
+    return CellAddress(
+        row=digest % geometry.rows,
+        col=digest % geometry.cols,
+        bit=bit,
+        mask=1 << bit,
+    )
 
 
 def single_pass_digest(key: bytes, seed: int, stride: int) -> int:

@@ -301,6 +301,32 @@ def test_batch_ops_match_double_hashing_oracle(kind, data):
 
 
 @pytest.mark.parametrize("cls", [StandardBloomFilter, CountingBloomFilter], ids=["sbf", "cbf"])
+def test_from_shape_builds_the_shape_it_is_given(cls):
+    f = cls.from_shape(1000, 7, seeds=[3, 4])
+    assert (f.bits, f.hash_count, f.seeds) == (1000, 7, (3, 4))
+    storage = [a for a in vars(f).values() if isinstance(a, np.ndarray)]
+    assert [a.size for a in storage] == [16 if cls is StandardBloomFilter else 1000]
+    assert not storage[0].any()
+    assert cls.from_shape(5, 5).hash_count == 5  # hash_count == bits is valid
+    f.insert(b"needle")
+    assert f.contains(b"needle")
+    assert f.probe_calls == 14 and f.hash_calls == 4
+
+
+@pytest.mark.parametrize("cls", [StandardBloomFilter, CountingBloomFilter], ids=["sbf", "cbf"])
+@pytest.mark.parametrize("bits, hash_count, seeds", [
+    (64, 0, None),
+    (64, 65, None),
+    (0, 1, None),
+    (64, 3, [1]),
+    (64, 3, [1, 2, 3]),
+])
+def test_from_shape_rejects_invalid_shapes(cls, bits, hash_count, seeds):
+    with pytest.raises(ValueError):
+        cls.from_shape(bits, hash_count, seeds=seeds)
+
+
+@pytest.mark.parametrize("cls", [StandardBloomFilter, CountingBloomFilter], ids=["sbf", "cbf"])
 def test_lookup_counters_match_scalar(cls):
     """On mixed hits and misses the batch lookup computes the digests and
     makes the probes the scalar short-circuit makes, key by key."""

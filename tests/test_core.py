@@ -6,11 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
-from bloom2d.core import TwoDBloomFilter, cell_address
+from bloom2d.core import TwoDBloomFilter
 from bloom2d.geometry import FilterGeometry, derive_geometry
 from bloom2d.hashing import HashVariant, derive_seeds, hash_key
 from bloom2d.workload import generate_corpus, make_query_set
-from reference_oracle import BitMatrixOracle, designed_fpp, fpp_bound, key_matrix
+from reference_oracle import (
+    BitMatrixOracle,
+    cell_address,
+    designed_fpp,
+    fpp_bound,
+    key_matrix,
+)
 
 TOY = FilterGeometry(rows=13, cols=11, cell_bits=61, hash_count=2, cell_width=64)
 
@@ -303,18 +309,26 @@ def test_empty_batch_is_a_no_op(make):
 ], ids=["robustbf", "sbf", "cbf"])
 def test_scalar_and_batch_inserts_give_equal_state(make):
     """Storage, digest count and probe count agree between one
-    ``insert_batch`` and a scalar ``insert`` per key."""
+    ``insert_batch`` and a scalar ``insert`` per key, and between the
+    sized filter and one its shape constructor rebuilds from its shape."""
     corpus = generate_corpus(1500, 19)
     batch, scalar = make(), make()
+    if isinstance(batch, TwoDBloomFilter):
+        shaped = TwoDBloomFilter(batch.geometry, batch.variant, batch.seeds)
+    else:
+        shaped = type(batch).from_shape(batch.bits, batch.hash_count, batch.variant, batch.seeds)
     batch.insert_batch(corpus.matrix)
+    shaped.insert_batch(corpus.matrix)
     for key in corpus:
         scalar.insert(key)
-    for name, value in vars(batch).items():
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(value, getattr(scalar, name)), name
-    assert batch.hash_calls == scalar.hash_calls > 0
-    assert getattr(batch, "probe_calls", None) == getattr(scalar, "probe_calls", None)
-    assert batch.inserted_count == scalar.inserted_count == len(corpus)
+    for other in (scalar, shaped):
+        assert vars(other).keys() == vars(batch).keys()
+        for name, value in vars(batch).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, getattr(other, name)), name
+        assert batch.hash_calls == other.hash_calls > 0
+        assert getattr(batch, "probe_calls", None) == getattr(other, "probe_calls", None)
+        assert batch.inserted_count == other.inserted_count == len(corpus)
 
 
 class TestMemoryAccounting:

@@ -85,8 +85,9 @@ class TestSelectPrime:
             select_prime(table, 1000)
 
     def test_linear_and_binary_paths_agree(self):
-        small = PrimeTable.up_to(10_000)  # scanned linearly
-        big = default_table()             # binary search
+        # a short table and the default one select the same prime
+        small = PrimeTable.up_to(10_000)
+        big = default_table()
         for target in (1, 2, 2.5, 10, 97, 1085.58, 7919):
             i_small = select_prime(small, target)
             i_big = select_prime(big, target)

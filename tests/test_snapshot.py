@@ -1,6 +1,7 @@
 """Binary snapshot round trips for all three filter types."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ HASH_COUNT_AT = 12
 CELL_BITS_AT = 33
 BITS_AT = 24
 SEEDS_2D_AT = 34
+FLAT_PAYLOAD_AT = 48
+DATA_DIR = Path(__file__).parent / "data"
 KEYS = [b"", b"a", b"needle", b"haystack-key-0001", bytes(range(40))]
 
 
@@ -202,9 +205,48 @@ def test_flat_zero_hash_count_is_rejected(tmp_path, kind):
 def test_flat_zero_bits_is_rejected(tmp_path, kind):
     # zero bits and no payload: the length matches what the header says
     raw = snapshot_bytes(tmp_path, small_filters()[kind])
-    raw = patched(raw, BITS_AT, "<Q", 0)[:48]
+    raw = patched(raw, BITS_AT, "<Q", 0)[:FLAT_PAYLOAD_AT]
     with pytest.raises(ValueError):
         load_bytes(tmp_path, raw)
+
+
+def with_bit(raw: bytes, at: int, bit: int) -> bytes:
+    """``raw`` with bit ``bit`` set in the little-endian payload that
+    starts at byte ``at``."""
+    out = bytearray(raw)
+    out[at + bit // 8] |= 1 << bit % 8
+    return bytes(out)
+
+
+def test_two_d_cell_bit_at_or_above_cell_bits_is_rejected(tmp_path):
+    f = small_filters()["robustbf"]
+    raw = snapshot_bytes(tmp_path, f)
+    cells_at = SEEDS_2D_AT + 8 * len(f.seeds)
+    top = f.geometry.cell_bits - 1  # the highest bit a probe sets: loads
+    assert load_bytes(tmp_path, with_bit(raw, cells_at, top)).cells[0, 0] >> top & 1
+    for bit in (top + 1, 63):
+        with pytest.raises(ValueError):
+            load_bytes(tmp_path, with_bit(raw, cells_at, bit))
+
+
+def test_sbf_bit_past_bits_is_rejected(tmp_path):
+    f = small_filters()["sbf"]
+    assert f.bits % 64  # the last word has padding bits
+    raw = snapshot_bytes(tmp_path, f)
+    assert load_bytes(tmp_path, with_bit(raw, FLAT_PAYLOAD_AT, f.bits - 1)).contains(KEYS[0])
+    for bit in (f.bits, 64 * f.words.size - 1):
+        with pytest.raises(ValueError):
+            load_bytes(tmp_path, with_bit(raw, FLAT_PAYLOAD_AT, bit))
+
+
+def test_cbf_counter_above_cap_is_rejected(tmp_path):
+    f = small_filters()["cbf"]
+    raw = snapshot_bytes(tmp_path, f)
+    cap = f.COUNTER_MAX
+    assert load_bytes(tmp_path, patched(raw, FLAT_PAYLOAD_AT, "<B", cap)).counters[0] == cap
+    for value in (cap + 1, 200, 255):
+        with pytest.raises(ValueError):
+            load_bytes(tmp_path, patched(raw, FLAT_PAYLOAD_AT, "<B", value))
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,3 +301,34 @@ def test_scalar_ops_write_a_reassigned_array(kind, field):
         f.remove(KEYS[4])
         assert not getattr(f, field).any()
     assert np.array_equal(old, before)  # the replaced array is never touched
+
+
+def golden_filter(kind):
+    """The filter each committed snapshot under ``tests/data/`` holds.
+
+    Recipe: n = 500, epsilon = 0.001, H4, default seeds, corpus seed 1.
+    The first 400 keys go in as one ``insert_batch``, the last 100 one
+    ``insert`` each; then keys 0-4 are removed from the 2D filter and the
+    CBF.  The files were written before the filters shared a base class,
+    so they pin the snapshot bytes across that and later refactors.
+    """
+    corpus = generate_corpus(500, 1)
+    f = {
+        "robustbf": lambda: TwoDBloomFilter.for_capacity(500, 0.001),
+        "sbf": lambda: StandardBloomFilter(500, 0.001),
+        "cbf": lambda: CountingBloomFilter(500, 0.001),
+    }[kind]()
+    f.insert_batch(corpus.matrix[:400])
+    for index in range(400, 500):
+        f.insert(corpus.key(index))
+    if hasattr(f, "remove"):
+        for index in range(5):
+            f.remove(corpus.key(index))
+    return f
+
+
+@pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
+def test_golden_snapshot_bytes(tmp_path, kind):
+    golden = (DATA_DIR / f"golden-{kind}.snap").read_bytes()
+    assert snapshot_bytes(tmp_path, golden_filter(kind)) == golden
+    assert snapshot_bytes(tmp_path, load_bytes(tmp_path, golden)) == golden
