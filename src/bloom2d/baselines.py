@@ -12,7 +12,8 @@ Positions are derived by a running sum, ``g <- (g + h2) mod 2^64`` from
 ``g = h1``, one probe at a time.  Lookups derive a position only for keys
 still alive, so they stop at a key's first empty slot, and batch paths
 never hold the k x count position matrix, except the counting filter's
-batch insert, which sorts it once for its saturating add.
+batch insert, which sorts it once per slice of at most ``SLICE_KEYS``
+keys (see :mod:`bloom2d.core`) for its saturating add.
 
 Scalar operations read and write storage through a ``memoryview`` made
 on each call, as the core filter's do.  Concurrency contract matches the
@@ -118,7 +119,7 @@ class _DoubleHashingFilter(_Filter):
         """
         raise NotImplementedError
 
-    def contains_batch(self, keys: np.ndarray) -> np.ndarray:
+    def _contains_slice(self, keys: np.ndarray) -> np.ndarray:
         g, step = self._digest_batch(keys)
         result = np.ones(g.size, dtype=bool)
         alive = np.arange(g.size)
@@ -161,7 +162,7 @@ class StandardBloomFilter(_DoubleHashingFilter):
         self.probe_calls += self.hash_count
         return True
 
-    def insert_batch(self, keys: np.ndarray) -> None:
+    def _insert_slice(self, keys: np.ndarray) -> None:
         g, step = self._digest_batch(keys)
         m = np.uint64(self.bits)
         for _ in range(self.hash_count):
@@ -231,9 +232,9 @@ class CountingBloomFilter(_DoubleHashingFilter):
         self.probe_calls += self.hash_count
         self.inserted_count = max(0, self.inserted_count - 1)
 
-    def insert_batch(self, keys: np.ndarray) -> None:
+    def _insert_slice(self, keys: np.ndarray) -> None:
         positions = self._position_matrix(keys)
-        # one saturating add per call: each position's increments are
+        # one saturating add per slice: each position's increments are
         # counted in int64 first, so no number of repeats wraps a uint8
         idx, n = np.unique(positions.ravel(), return_counts=True)
         self.counters[idx] = np.minimum(self.counters[idx] + n, self.COUNTER_MAX)

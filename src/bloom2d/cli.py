@@ -124,7 +124,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     elif args.workload is not None:
         kinds = (args.workload,)
     for kind in kinds:
-        size = len(corpus) if kind == "same" else (args.query_size or args.n)
+        if kind == "same":
+            size = len(corpus)
+        else:
+            size = args.query_size if args.query_size is not None else args.n
         queries = make_query_set(
             kind, corpus, size, workload_seed(args.seed, kind), args.mix_ratio
         )

@@ -15,6 +15,12 @@ another inserted key on some probe can introduce a false negative for
 the other key.  Callers that need safe deletion under collisions should
 use :class:`~bloom2d.baselines.CountingBloomFilter` instead.
 
+Batch calls walk the key matrix in row slices of at most
+:data:`SLICE_KEYS` keys, so the temporaries of one call stay the size of
+one slice however many keys it holds.  Slicing changes no result: bits
+are ORed, lookups are per key, and the counting filter's saturating add
+composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
+
 A filter instance tolerates one writer or any number of concurrent
 readers; there is no internal synchronisation.
 """
@@ -28,12 +34,24 @@ import numpy as np
 from .geometry import FilterGeometry, derive_geometry
 from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_batch
 
+# Keys per slice of a batch call: 65,536 keep a slice's temporaries to a
+# few MiB (the counting filter's insert peaks near 26 B per key of the
+# whole call at 10**6 keys), and 32k to 131k keys per slice ran equally
+# fast.  Read on each call, so a test can patch it down.
+SLICE_KEYS = 65_536
+
 
 class _Filter:
     """What every filter holds besides its storage: the hash variant, one
     seed per digest a key needs, the bookkeeping ``inserted_count`` (it
     never gates an operation), the instrumentation counter ``hash_calls``,
-    and the snapshot ``save``/``load`` pair."""
+    and the snapshot ``save``/``load`` pair.
+
+    It also owns the batch entry points: ``insert_batch`` and
+    ``contains_batch`` hand each row slice of at most ``SLICE_KEYS`` keys
+    to the filter's ``_insert_slice``/``_contains_slice``.  A matrix of
+    no more keys than that, an empty one included, is handed over whole.
+    """
 
     def __init__(
         self, variant: HashVariant, seeds: Sequence[int] | None, seed_count: int
@@ -46,6 +64,30 @@ class _Filter:
         self.seeds = tuple(int(s) for s in seeds)
         self.inserted_count = 0
         self.hash_calls = 0
+
+    @staticmethod
+    def _slices(keys: np.ndarray):
+        keys = np.ascontiguousarray(keys, dtype=np.uint8)
+        size = SLICE_KEYS
+        if len(keys) <= size:
+            return (keys,)
+        return (keys[start : start + size] for start in range(0, len(keys), size))
+
+    def insert_batch(self, keys: np.ndarray) -> None:
+        """Insert every row of a ``(count, length)`` uint8 key matrix."""
+        for part in self._slices(keys):
+            self._insert_slice(part)
+
+    def contains_batch(self, keys: np.ndarray) -> np.ndarray:
+        """One bool per row of a ``(count, length)`` uint8 key matrix."""
+        answers = [self._contains_slice(part) for part in self._slices(keys)]
+        return answers[0] if len(answers) == 1 else np.concatenate(answers)
+
+    def _insert_slice(self, keys: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _contains_slice(self, keys: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def save(self, path) -> None:
         from . import snapshot
@@ -129,8 +171,7 @@ class TwoDBloomFilter(_Filter):
         self.hash_calls += len(self.seeds)
         self.inserted_count = max(0, self.inserted_count - 1)
 
-    def insert_batch(self, keys: np.ndarray) -> None:
-        """Insert every row of a ``(count, length)`` uint8 key matrix."""
+    def _insert_slice(self, keys: np.ndarray) -> None:
         blocks = mix_batch(keys, self.variant)
         count = blocks.words.shape[1]
         g = self.geometry
@@ -144,7 +185,7 @@ class TwoDBloomFilter(_Filter):
         self.hash_calls += len(self.seeds) * count
         self.inserted_count += count
 
-    def contains_batch(self, keys: np.ndarray) -> np.ndarray:
+    def _contains_slice(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised lookup returning a boolean per row.
 
         Later probes are only evaluated for keys still alive, mirroring

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bloom2d import core
 from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
 from bloom2d.geometry import optimal_bits, optimal_hash_count
 from bloom2d.hashing import hash_key
@@ -299,6 +300,15 @@ def test_batch_ops_match_double_hashing_oracle(kind, data):
     else:
         assert [int(w) for w in f.words] == oracle.words()
 
+
+
+@pytest.mark.parametrize("kind", ["sbf", "cbf"])
+def test_batch_ops_match_double_hashing_oracle_across_slices(kind, monkeypatch):
+    """The batch oracle script above with batches walked 3 keys at a
+    time, so most of its batches span several slices and CBF counters
+    saturate across slice boundaries."""
+    monkeypatch.setattr(core, "SLICE_KEYS", 3)
+    test_batch_ops_match_double_hashing_oracle(kind=kind)
 
 @pytest.mark.parametrize("cls", [StandardBloomFilter, CountingBloomFilter], ids=["sbf", "cbf"])
 def test_from_shape_builds_the_shape_it_is_given(cls):

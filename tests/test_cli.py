@@ -83,6 +83,20 @@ def test_generate_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_generate_rejects_query_size_below_one(tmp_path, capsys, size):
+    """``--query-size 0`` is refused like any size below 1, not taken as
+    unset (it used to write ``--n`` queries and exit 0)."""
+    out = tmp_path / "corpus.keys"
+    code = main([
+        "generate", "--n", "300", "--seed", "5", "--out", str(out),
+        "--workload", "disjoint", "--query-size", size,
+    ])
+    assert code == 1
+    assert "query size must be >= 1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.keys"]  # no query set
+
 class TestErrorExits:
     def test_capacity_underflow(self, capsys):
         assert main(["bench", "--n", "50"]) == 1

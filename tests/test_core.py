@@ -1,10 +1,13 @@
 """Two-dimensional filter: addressing, operations, batch equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloom2d import core
 from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
 from bloom2d.core import TwoDBloomFilter
 from bloom2d.geometry import FilterGeometry, derive_geometry
@@ -329,6 +332,117 @@ def test_scalar_and_batch_inserts_give_equal_state(make):
         assert batch.hash_calls == other.hash_calls > 0
         assert getattr(batch, "probe_calls", None) == getattr(other, "probe_calls", None)
         assert batch.inserted_count == other.inserted_count == len(corpus)
+
+
+THREE_FILTERS = {
+    "robustbf": lambda n: TwoDBloomFilter.for_capacity(n, 0.001),
+    "sbf": lambda n: StandardBloomFilter(n, 0.001),
+    "cbf": lambda n: CountingBloomFilter(n, 0.001),
+}
+
+
+def test_batch_ops_match_bit_matrix_oracle_across_slices(monkeypatch):
+    """The batch oracle script above with batches walked 3 keys at a
+    time, so most of its batches span several slices."""
+    monkeypatch.setattr(core, "SLICE_KEYS", 3)
+    test_batch_ops_match_bit_matrix_oracle()
+
+
+@pytest.mark.parametrize("kind", THREE_FILTERS)
+def test_multi_slice_batches_match_whole_batch_and_scalar(kind, monkeypatch):
+    """One ``insert_batch`` and one ``contains_batch`` walked in slices of
+    7 keys leave the same storage, answers, ``hash_calls``,
+    ``probe_calls`` and ``inserted_count`` as the same calls made whole
+    and as one scalar call per key.  700 copies of one key span 100
+    slices, so CBF counters saturate across slice boundaries."""
+    corpus = generate_corpus(1000, 23)
+    copies = np.repeat(corpus.matrix[500:501], 700, axis=0)
+    keys = np.concatenate([corpus.matrix[:500], copies, corpus.matrix[500:]])
+    queries = make_query_set("mixed", corpus, 1000, 29).matrix
+    make = THREE_FILTERS[kind]
+    whole, sliced, scalar = make(1000), make(1000), make(1000)
+    whole.insert_batch(keys)
+    answers = {"whole": whole.contains_batch(queries)}
+
+    monkeypatch.setattr(core, "SLICE_KEYS", 7)
+    sizes = []
+
+    def spy(hook):
+        def counted(self, part):
+            sizes.append(len(part))
+            return hook(self, part)
+        return counted
+
+    for name in ("_insert_slice", "_contains_slice"):
+        monkeypatch.setattr(type(sliced), name, spy(getattr(type(sliced), name)))
+    sliced.insert_batch(keys)
+    answers["sliced"] = sliced.contains_batch(queries)
+    assert len(sizes) == -(-len(keys) // 7) + -(-len(queries) // 7)
+    assert max(sizes) == 7
+
+    for row in keys:
+        scalar.insert(row.tobytes())
+    answers["scalar"] = np.array([scalar.contains(q.tobytes()) for q in queries])
+
+    assert answers["sliced"].dtype == bool
+    assert np.array_equal(answers["sliced"], answers["whole"])
+    assert np.array_equal(answers["sliced"], answers["scalar"])
+    assert 0 < answers["sliced"].sum() < len(queries)
+    for other in (whole, scalar):
+        for name, value in vars(sliced).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, getattr(other, name)), name
+        assert sliced.hash_calls == other.hash_calls
+        assert getattr(sliced, "probe_calls", None) == getattr(other, "probe_calls", None)
+        assert sliced.inserted_count == other.inserted_count == len(keys)
+    if kind == "cbf":
+        assert (sliced.counters == CountingBloomFilter.COUNTER_MAX).any()
+
+
+@pytest.mark.parametrize("kind", THREE_FILTERS)
+@pytest.mark.parametrize("op", ["insert_batch", "contains_batch"])
+def test_multi_slice_batch_transient_memory_per_key(kind, op, monkeypatch):
+    """A call of 16 slices peaks at one slice's temporaries plus the
+    answers, not at the whole call's: one unsliced call holds 80-90
+    B/key for the 2D filter, 64 for the SBF and the CBF lookup and 343
+    for the CBF insert, whose sorted probe matrix sets the larger bound.
+    Measured for insert/lookup: 2D 5.1/6.6, SBF 4.0/5.0, CBF 25.4/5.0
+    B/key (numpy 2.4)."""
+    monkeypatch.setattr(core, "SLICE_KEYS", 4096)
+    corpus = generate_corpus(16 * 4096, 61)
+    f = THREE_FILTERS[kind](len(corpus))
+    if op == "contains_batch":
+        f.insert_batch(corpus.matrix)  # every key a hit: all probes stay alive
+    tracemalloc.start()
+    try:
+        getattr(f, op)(corpus.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 40 if (kind, op) == ("cbf", "insert_batch") else 12
+    assert peak / len(corpus) < bound
+
+
+@pytest.mark.parametrize("kind", THREE_FILTERS)
+@pytest.mark.parametrize("slice_keys", [65_536, 3], ids=["one-slice", "multi-slice"])
+def test_batch_calls_reject_non_matrix_and_skip_empty(kind, slice_keys, monkeypatch):
+    """At filter level, 1-D and 3-D key arrays raise ``ValueError`` and
+    change nothing, and a ``(0, 20)`` matrix is a no-op, whether the
+    call is one slice or many."""
+    monkeypatch.setattr(core, "SLICE_KEYS", slice_keys)
+    f = THREE_FILTERS[kind](1000)
+    for shape in ((40,), (8, 20, 2)):
+        for op in (f.insert_batch, f.contains_batch):
+            with pytest.raises(ValueError):
+                op(np.zeros(shape, dtype=np.uint8))
+    empty = np.zeros((0, 20), dtype=np.uint8)
+    f.insert_batch(empty)
+    answers = f.contains_batch(empty)
+    assert answers.dtype == bool and answers.shape == (0,)
+    storage = [a for a in vars(f).values() if isinstance(a, np.ndarray)]
+    assert storage and not any(a.any() for a in storage)
+    assert f.hash_calls == 0 and f.inserted_count == 0
+    assert getattr(f, "probe_calls", 0) == 0
 
 
 class TestMemoryAccounting:
