@@ -9,11 +9,13 @@ come from double hashing: two digests h1, h2 per key and positions
 ``(h1 + i*h2) mod 2^64 mod m`` for i in [0, k).
 
 Positions are derived by a running sum, ``g <- (g + h2) mod 2^64`` from
-``g = h1``, one probe at a time.  Lookups derive a position only for keys
-still alive, so they stop at a key's first empty slot, and batch paths
-never hold the k x count position matrix, except the counting filter's
-batch insert, which sorts it once per slice of at most ``SLICE_KEYS``
-keys (see :mod:`bloom2d.core`) for its saturating add.
+``g = h1``, one probe at a time; batch paths take ``g mod m`` through the
+quotient, ``g - (g // m) * m`` (:func:`~bloom2d.hashing.mod_batch`), the
+same value.  Lookups derive a position only for keys still alive, so
+they stop at a key's first empty slot, and batch paths never hold the
+k x count position matrix, except the counting filter's batch insert,
+which sorts it once per slice of at most ``SLICE_KEYS`` keys (see
+:mod:`bloom2d.core`) for its saturating add.
 
 Scalar operations read and write storage through a ``memoryview`` made
 on each call, as the core filter's do.  Concurrency contract matches the
@@ -26,9 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import hashing
 from .core import _Filter
 from .geometry import optimal_bits, optimal_hash_count
 from .hashing import HashVariant, fold_batch, hash_key_seeds, mix_batch
+
+# hashing.mod_batch is addressing: reached through the module for the
+# reason given in bloom2d.core.
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -104,10 +110,9 @@ class _DoubleHashingFilter(_Filter):
     def _position_matrix(self, keys: np.ndarray) -> np.ndarray:
         """(hash_count, count) probe positions for a uint8 key matrix."""
         g, step = self._digest_batch(keys)
-        m = np.uint64(self.bits)
         positions = np.empty((self.hash_count, g.size), dtype=np.uint64)
         for row in positions:
-            np.remainder(g, m, out=row)
+            hashing.mod_batch(g, self.bits, out=row)
             g += step
         return positions
 
@@ -120,19 +125,23 @@ class _DoubleHashingFilter(_Filter):
         raise NotImplementedError
 
     def _contains_slice(self, keys: np.ndarray) -> np.ndarray:
+        """One bool per key; ``alive`` holds the survivors' row numbers,
+        compacted with ``g`` and ``step`` after a probe some key misses,
+        and the answers are written once, from the last survivors."""
         g, step = self._digest_batch(keys)
-        result = np.ones(g.size, dtype=bool)
-        alive = np.arange(g.size)
-        m = np.uint64(self.bits)
+        count = g.size
+        alive = np.arange(count)
         for _ in range(self.hash_count):
-            self.probe_calls += int(alive.size)
-            hit = self._slots_set(g % m)
+            self.probe_calls += alive.size
+            hit = self._slots_set(hashing.mod_batch(g, self.bits))
             if not hit.all():
-                result[alive[~hit]] = False
-                alive, g, step = alive[hit], g[hit], step[hit]
+                keep = np.flatnonzero(hit)
+                alive, g, step = alive.take(keep), g.take(keep), step.take(keep)
                 if alive.size == 0:
                     break
             g += step  # uint64 arrays wrap mod 2^64
+        result = np.zeros(count, dtype=bool)
+        result[alive] = True
         return result
 
 
@@ -164,11 +173,14 @@ class StandardBloomFilter(_DoubleHashingFilter):
 
     def _insert_slice(self, keys: np.ndarray) -> None:
         g, step = self._digest_batch(keys)
-        m = np.uint64(self.bits)
         for _ in range(self.hash_count):
-            pos = g % m
+            pos = hashing.mod_batch(g, self.bits)
             idx = (pos >> np.uint64(6)).view(np.int64)
-            np.bitwise_or.at(self.words, idx, np.uint64(1) << (pos & np.uint64(63)))
+            pos &= np.uint64(63)
+            # in place: ``np.uint64(1) << (pos & 63)`` ran ~10x slower at
+            # 65,536 keys, a scalar left of a temporary above 256 KiB
+            np.left_shift(np.uint64(1), pos, out=pos)
+            np.bitwise_or.at(self.words, idx, pos)
             g += step
         self.probe_calls += self.hash_count * g.size
         self.inserted_count += g.size

@@ -116,21 +116,25 @@ def _cmd_hash_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    """Build every query set before writing any file, so a rejected size
+    or mix ratio leaves no corpus or query set behind."""
     corpus = generate_corpus(args.n, args.seed)
-    write_corpus(corpus, args.out)
     kinds = ()
     if args.workload == "all":
         kinds = ALL_WORKLOADS
     elif args.workload is not None:
         kinds = (args.workload,)
+    query_sets = {}
     for kind in kinds:
         if kind == "same":
             size = len(corpus)
         else:
             size = args.query_size if args.query_size is not None else args.n
-        queries = make_query_set(
+        query_sets[kind] = make_query_set(
             kind, corpus, size, workload_seed(args.seed, kind), args.mix_ratio
         )
+    write_corpus(corpus, args.out)
+    for kind, queries in query_sets.items():
         write_query_set(queries, f"{args.out}.{kind}")
     return 0
 

@@ -21,6 +21,12 @@ one slice however many keys it holds.  Slicing changes no result: bits
 are ORed, lookups are per key, and the counting filter's saturating add
 composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
 
+Batch paths reduce a digest d by each modulus m through its quotient,
+d - (d // m) * m (:func:`~bloom2d.hashing.mod_batch`), which equals
+d mod m and avoids a hardware divide per element.  A batch lookup keeps
+the row numbers of the keys still alive, compacts them only after a
+probe some key misses, and writes the answers once at the end.
+
 A filter instance tolerates one writer or any number of concurrent
 readers; there is no internal synchronisation.
 """
@@ -31,8 +37,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import hashing
 from .geometry import FilterGeometry, derive_geometry
 from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_batch
+
+# hashing.mod_batch (addressing) and hashing.as_key_matrix (input check)
+# are reached through the module, not imported by name: perfbench's trace
+# times every function imported from hashing as the hash layer.
 
 # Keys per slice of a batch call: 65,536 keep a slice's temporaries to a
 # few MiB (the counting filter's insert peaks near 26 B per key of the
@@ -67,7 +78,7 @@ class _Filter:
 
     @staticmethod
     def _slices(keys: np.ndarray):
-        keys = np.ascontiguousarray(keys, dtype=np.uint8)
+        keys = hashing.as_key_matrix(keys)
         size = SLICE_KEYS
         if len(keys) <= size:
             return (keys,)
@@ -171,17 +182,24 @@ class TwoDBloomFilter(_Filter):
         self.hash_calls += len(self.seeds)
         self.inserted_count = max(0, self.inserted_count - 1)
 
+    def _cell_index(self, digests: np.ndarray) -> np.ndarray:
+        """Each digest's cell as an int64 index into the flattened cells:
+        ``(d mod rows) * cols + d mod cols``, below ``rows * cols``."""
+        g = self.geometry
+        index = hashing.mod_batch(digests, g.rows)
+        index *= np.uint64(g.cols)
+        index += hashing.mod_batch(digests, g.cols)
+        return index.view(np.int64)
+
     def _insert_slice(self, keys: np.ndarray) -> None:
         blocks = mix_batch(keys, self.variant)
         count = blocks.words.shape[1]
-        g = self.geometry
         flat = self.cells.reshape(-1)
         for seed in self.seeds:
             digests = fold_batch(blocks, seed)
-            rows = (digests % np.uint64(g.rows)).astype(np.intp)
-            cols = (digests % np.uint64(g.cols)).astype(np.intp)
-            bits = digests % np.uint64(g.cell_bits)
-            np.bitwise_or.at(flat, rows * g.cols + cols, np.uint64(1) << bits)
+            bits = hashing.mod_batch(digests, self.geometry.cell_bits)
+            np.left_shift(np.uint64(1), bits, out=bits)
+            np.bitwise_or.at(flat, self._cell_index(digests), bits)
         self.hash_calls += len(self.seeds) * count
         self.inserted_count += count
 
@@ -192,26 +210,29 @@ class TwoDBloomFilter(_Filter):
         the scalar short-circuit, so the digest count per query is at
         most ``hash_count``.  The keys' block words are mixed once and
         each seed folds only the surviving keys' columns of them.
+        ``alive`` holds the survivors' row numbers; a probe that some
+        key misses compacts it and the block words to the keys that hit,
+        and the answers are written once, from the last survivors.
         """
         blocks = mix_batch(keys, self.variant)
         count = blocks.words.shape[1]
-        result = np.ones(count, dtype=bool)
         alive = np.arange(count)
-        g = self.geometry
         flat = self.cells.reshape(-1)
         for seed in self.seeds:
-            if alive.size == 0:
-                break
             digests = fold_batch(blocks, seed)
-            self.hash_calls += int(alive.size)
-            rows = (digests % np.uint64(g.rows)).astype(np.intp)
-            cols = (digests % np.uint64(g.cols)).astype(np.intp)
-            bits = digests % np.uint64(g.cell_bits)
-            hit = ((flat[rows * g.cols + cols] >> bits) & np.uint64(1)).astype(bool)
-            result[alive[~hit]] = False
-            alive = alive[hit]
-            if alive.size < hit.size:
-                blocks = blocks._replace(words=blocks.words[:, hit])
+            self.hash_calls += alive.size
+            word = flat[self._cell_index(digests)]
+            word >>= hashing.mod_batch(digests, self.geometry.cell_bits)
+            word &= np.uint64(1)
+            hit = word.astype(bool)
+            if not hit.all():
+                keep = np.flatnonzero(hit)
+                alive = alive.take(keep)
+                if alive.size == 0:
+                    break
+                blocks = blocks._replace(words=blocks.words.take(keep, axis=1))
+        result = np.zeros(count, dtype=bool)
+        result[alive] = True
         return result
 
     def memory_bits(self) -> int:

@@ -20,6 +20,11 @@ into one seed's initial state (which also holds the key length and the
 stride) and finalizes.  :func:`hash_key` is the scalar path for one seed
 and :func:`hash_batch` the batch stages composed for one seed.
 
+Two batch helpers serve the filters: :func:`as_key_matrix` admits only
+a 2-D uint8 key matrix, without casting, and :func:`mod_batch` reduces
+digests by a modulus through the quotient, ``x - (x // m) * m``, which
+equals ``x % m`` and is what the filters address with.
+
 The committed golden-vector fixture (newline-delimited
 ``hex(key),seed,variant,hex(digest)`` records) anchors these digests
 bit-for-bit; any change to the constants or round structure below is a
@@ -148,6 +153,37 @@ def hash_key_seeds(
     return unpack(h.to_bytes(size, "little"))
 
 
+def as_key_matrix(keys: np.ndarray) -> np.ndarray:
+    """``keys`` as a C-contiguous ``(count, length)`` uint8 array.
+
+    Any other dtype or rank raises ``ValueError`` rather than being cast:
+    a cast would wrap or truncate int, float and bool entries into other
+    keys' bytes.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype != np.uint8:
+        raise ValueError(f"key matrix must be uint8, got {keys.dtype}")
+    if keys.ndim != 2:
+        raise ValueError(f"key matrix must be 2-D, got shape {keys.shape}")
+    return np.ascontiguousarray(keys)
+
+
+def mod_batch(
+    x: np.ndarray, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``x mod m`` for a uint64 array and a modulus ``1 <= m < 2**64``.
+
+    Computed as ``x - (x // m) * m``, equal to ``x % m`` element for
+    element: numpy divides by one invariant scalar with a multiply and a
+    shift, where ``%`` runs a hardware divide per element.  The result
+    goes to ``out`` if given (it must not be ``x``), else to a new array.
+    """
+    m = np.uint64(m)
+    r = np.floor_divide(x, m, out=out)
+    r *= m
+    return np.subtract(x, r, out=r)
+
+
 def mix_batch(
     keys: np.ndarray, variant: HashVariant = HashVariant.H4
 ) -> KeyBlocks:
@@ -158,9 +194,7 @@ def mix_batch(
     one view; the high word of a 16-byte slot is XOR-folded into the low
     one.  All keys in a matrix share one length, hence one initial state.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.uint8)
-    if keys.ndim != 2:
-        raise ValueError(f"key matrix must be 2-D, got shape {keys.shape}")
+    keys = as_key_matrix(keys)
     count, length = keys.shape
     stride = int(variant)
     rounds = -(-length // stride)

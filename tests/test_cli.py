@@ -87,7 +87,8 @@ def test_generate_is_deterministic(tmp_path):
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_generate_rejects_query_size_below_one(tmp_path, capsys, size):
     """``--query-size 0`` is refused like any size below 1, not taken as
-    unset (it used to write ``--n`` queries and exit 0)."""
+    unset (it used to write ``--n`` queries and exit 0), and before any
+    file is written: neither the corpus nor a query set is left behind."""
     out = tmp_path / "corpus.keys"
     code = main([
         "generate", "--n", "300", "--seed", "5", "--out", str(out),
@@ -95,7 +96,20 @@ def test_generate_rejects_query_size_below_one(tmp_path, capsys, size):
     ])
     assert code == 1
     assert "query size must be >= 1" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["corpus.keys"]  # no query set
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_rejects_bad_mix_ratio_before_writing(tmp_path, capsys):
+    """With ``--workload all`` the mixed set's ratio is checked before the
+    corpus and the query sets built ahead of it are written."""
+    code = main([
+        "generate", "--n", "300", "--seed", "5", "--out", str(tmp_path / "c.keys"),
+        "--workload", "all", "--query-size", "200", "--mix-ratio", "1.5",
+    ])
+    assert code == 1
+    assert "mix_ratio" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 
 class TestErrorExits:
     def test_capacity_underflow(self, capsys):

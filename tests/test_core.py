@@ -445,6 +445,82 @@ def test_batch_calls_reject_non_matrix_and_skip_empty(kind, slice_keys, monkeypa
     assert getattr(f, "probe_calls", 0) == 0
 
 
+def _state(f):
+    return {name: value.copy() if isinstance(value, np.ndarray) else value
+            for name, value in vars(f).items()}
+
+
+@pytest.mark.parametrize("kind", THREE_FILTERS)
+@pytest.mark.parametrize("slice_keys", [65_536, 3], ids=["one-slice", "multi-slice"])
+def test_batch_calls_reject_non_uint8_matrices(kind, slice_keys, monkeypatch):
+    """int64, float and bool key matrices raise ``ValueError`` and leave
+    the filter as it was.  A cast would wrap 300 and -1 to the key
+    (44, 255) and truncate 44.7 to 44, so a lookup of floats could
+    answer for a key nobody inserted."""
+    monkeypatch.setattr(core, "SLICE_KEYS", slice_keys)
+    f = THREE_FILTERS[kind](1000)
+    f.insert_batch(generate_corpus(50, 43).matrix)
+    before = _state(f)
+    bad = [
+        np.tile(np.array([300, -1], dtype=np.int64), (10, 1)),
+        np.full((10, 2), 44.7),
+        np.ones((10, 2), dtype=bool),
+    ]
+    for keys in bad:
+        for op in (f.insert_batch, f.contains_batch):
+            with pytest.raises(ValueError, match="uint8"):
+                op(keys)
+    after = _state(f)
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, after[name]), name
+        else:
+            assert value == after[name], name
+
+
+@pytest.mark.parametrize("kind", THREE_FILTERS)
+@pytest.mark.parametrize("slice_keys", [65_536, 7], ids=["one-slice", "multi-slice"])
+@pytest.mark.parametrize("case", ["all-die-at-probe-1", "all-survive", "empty"])
+def test_lookup_edges_match_scalar(kind, slice_keys, case, monkeypatch):
+    """Batch lookups where every key misses its first probe (an empty
+    filter), where every key survives all probes (its own inserted
+    keys) and of no keys at all give the scalar answers, ``hash_calls``
+    and ``probe_calls`` summed over the keys."""
+    monkeypatch.setattr(core, "SLICE_KEYS", slice_keys)
+    corpus = generate_corpus(500, 47)
+    f = THREE_FILTERS[kind](500)
+    if case == "all-survive":
+        f.insert_batch(corpus.matrix)
+    keys = corpus.matrix[:0] if case == "empty" else corpus.matrix
+
+    def counters():
+        return f.hash_calls, getattr(f, "probe_calls", None)
+
+    def reset():
+        f.hash_calls = 0
+        if hasattr(f, "probe_calls"):
+            f.probe_calls = 0
+
+    reset()
+    answers = f.contains_batch(keys)
+    batch = counters()
+    reset()
+    scalar = [f.contains(row.tobytes()) for row in keys]
+    assert answers.dtype == bool and answers.shape == (len(keys),)
+    assert answers.tolist() == scalar
+    assert batch == counters()
+
+    if isinstance(f, TwoDBloomFilter):
+        k, probes = f.geometry.hash_count, batch[0]
+    else:
+        k, probes = f.hash_count, batch[1]
+        assert batch[0] == 2 * len(keys)
+    per_key = {"all-die-at-probe-1": 1, "all-survive": k, "empty": 0}[case]
+    assert probes == per_key * len(keys)
+    assert answers.all() if case == "all-survive" else not answers.any()
+
+
 class TestMemoryAccounting:
     def test_toy_memory(self):
         assert toy_filter().memory_bits() == 13 * 11 * 64 == 9152

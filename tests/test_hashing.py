@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -17,6 +17,7 @@ from bloom2d.hashing import (
     hash_key,
     hash_key_seeds,
     mix_batch,
+    mod_batch,
 )
 from reference_oracle import single_pass_digest
 
@@ -120,6 +121,53 @@ def test_batch_rejects_non_matrix():
             hash_batch(np.zeros(shape, dtype=np.uint8), 1, HashVariant.H4)
         with pytest.raises(ValueError):
             mix_batch(np.zeros(shape, dtype=np.uint8), HashVariant.H4)
+
+
+@pytest.mark.parametrize("keys", [
+    np.array([[300, -1]], dtype=np.int64),
+    np.array([[44.7, 255.0]]),
+    np.array([[True, False]]),
+], ids=["int64", "float", "bool"])
+def test_batch_rejects_non_uint8(keys):
+    """Entries are not cast to bytes: 300 would wrap to 44 and 44.7
+    truncate to 44, so different inputs would hash as one key."""
+    with pytest.raises(ValueError, match="uint8"):
+        hash_batch(keys, 1, HashVariant.H4)
+    with pytest.raises(ValueError, match="uint8"):
+        mix_batch(keys, HashVariant.H4)
+
+
+# The moduli the filters reduce by: 1, the 2D shape's cell bits, rows and
+# columns at 10**6 keys, the flat filters' slot count there, and two
+# beyond 32 bits up to the largest uint64.
+MODULI = [1, 61, 317, 359, 14_377_588, 2**32 + 15, 2**64 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.one_of(st.sampled_from(MODULI), st.integers(1, 2**64 - 1)),
+    digests=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+)
+@example(m=MODULI[0], digests=[])
+@example(m=MODULI[1], digests=[])
+@example(m=MODULI[2], digests=[])
+@example(m=MODULI[3], digests=[])
+@example(m=MODULI[4], digests=[])
+@example(m=MODULI[5], digests=[])
+@example(m=MODULI[6], digests=[])
+def test_mod_batch_equals_remainder(m, digests):
+    """``mod_batch`` is ``%`` for every uint64 digest and modulus,
+    including 0, m - 1, m, 2**63 and 2**64 - 1, with and without ``out``."""
+    values = digests + [0, m - 1, m, 2**63, 2**64 - 1]
+    x = np.array(values, dtype=np.uint64)
+    expected = [v % m for v in values]
+    got = mod_batch(x, m)
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected == (x % np.uint64(m)).tolist()
+    out = np.empty_like(x)
+    assert mod_batch(x, m, out=out) is out
+    assert out.tolist() == expected
+    assert x.tolist() == values  # the input is left as it was
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
