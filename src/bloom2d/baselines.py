@@ -10,7 +10,7 @@ come from double hashing: two digests h1, h2 per key and positions
 
 Positions are derived by a running sum, ``g <- (g + h2) mod 2^64`` from
 ``g = h1``, one probe at a time; batch paths take ``g mod m`` through the
-quotient, ``g - (g // m) * m`` (:func:`~bloom2d.hashing.mod_batch`), the
+quotient, ``g - (g // m) * m`` (:func:`~bloom2d.core.mod_batch`), the
 same value.  Lookups derive a position only for keys still alive, so
 they stop at a key's first empty slot, and batch paths never hold the
 k x count position matrix, except the counting filter's batch insert,
@@ -28,13 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import hashing
-from .core import _Filter
+from .core import _Filter, mod_batch
 from .geometry import optimal_bits, optimal_hash_count
 from .hashing import HashVariant, fold_batch, hash_key_seeds, mix_batch
-
-# hashing.mod_batch is addressing: reached through the module for the
-# reason given in bloom2d.core.
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -112,7 +108,7 @@ class _DoubleHashingFilter(_Filter):
         g, step = self._digest_batch(keys)
         positions = np.empty((self.hash_count, g.size), dtype=np.uint64)
         for row in positions:
-            hashing.mod_batch(g, self.bits, out=row)
+            mod_batch(g, self.bits, out=row)
             g += step
         return positions
 
@@ -133,7 +129,7 @@ class _DoubleHashingFilter(_Filter):
         alive = np.arange(count)
         for _ in range(self.hash_count):
             self.probe_calls += alive.size
-            hit = self._slots_set(hashing.mod_batch(g, self.bits))
+            hit = self._slots_set(mod_batch(g, self.bits))
             if not hit.all():
                 keep = np.flatnonzero(hit)
                 alive, g, step = alive.take(keep), g.take(keep), step.take(keep)
@@ -174,7 +170,7 @@ class StandardBloomFilter(_DoubleHashingFilter):
     def _insert_slice(self, keys: np.ndarray) -> None:
         g, step = self._digest_batch(keys)
         for _ in range(self.hash_count):
-            pos = hashing.mod_batch(g, self.bits)
+            pos = mod_batch(g, self.bits)
             idx = (pos >> np.uint64(6)).view(np.int64)
             pos &= np.uint64(63)
             # in place: ``np.uint64(1) << (pos & 63)`` ran ~10x slower at

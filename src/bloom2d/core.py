@@ -22,7 +22,7 @@ are ORed, lookups are per key, and the counting filter's saturating add
 composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
 
 Batch paths reduce a digest d by each modulus m through its quotient,
-d - (d // m) * m (:func:`~bloom2d.hashing.mod_batch`), which equals
+d - (d // m) * m (:func:`mod_batch`), which equals
 d mod m and avoids a hardware divide per element.  A batch lookup keeps
 the row numbers of the keys still alive, compacts them only after a
 probe some key misses, and writes the answers once at the end.
@@ -41,15 +41,31 @@ from . import hashing
 from .geometry import FilterGeometry, derive_geometry
 from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_batch
 
-# hashing.mod_batch (addressing) and hashing.as_key_matrix (input check)
-# are reached through the module, not imported by name: perfbench's trace
-# times every function imported from hashing as the hash layer.
+# hashing.as_key_matrix (an input check) is reached through the module:
+# perfbench's trace times every function imported from hashing by name as
+# the hash layer.
 
 # Keys per slice of a batch call: 65,536 keep a slice's temporaries to a
 # few MiB (the counting filter's insert peaks near 26 B per key of the
 # whole call at 10**6 keys), and 32k to 131k keys per slice ran equally
 # fast.  Read on each call, so a test can patch it down.
 SLICE_KEYS = 65_536
+
+
+def mod_batch(
+    x: np.ndarray, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``x mod m`` for a uint64 array and a modulus ``1 <= m < 2**64``.
+
+    Computed as ``x - (x // m) * m``, equal to ``x % m`` element for
+    element: numpy divides by one invariant scalar with a multiply and a
+    shift, where ``%`` runs a hardware divide per element.  The result
+    goes to ``out`` if given (it must not be ``x``), else to a new array.
+    """
+    m = np.uint64(m)
+    r = np.floor_divide(x, m, out=out)
+    r *= m
+    return np.subtract(x, r, out=r)
 
 
 class _Filter:
@@ -186,9 +202,9 @@ class TwoDBloomFilter(_Filter):
         """Each digest's cell as an int64 index into the flattened cells:
         ``(d mod rows) * cols + d mod cols``, below ``rows * cols``."""
         g = self.geometry
-        index = hashing.mod_batch(digests, g.rows)
+        index = mod_batch(digests, g.rows)
         index *= np.uint64(g.cols)
-        index += hashing.mod_batch(digests, g.cols)
+        index += mod_batch(digests, g.cols)
         return index.view(np.int64)
 
     def _insert_slice(self, keys: np.ndarray) -> None:
@@ -197,7 +213,7 @@ class TwoDBloomFilter(_Filter):
         flat = self.cells.reshape(-1)
         for seed in self.seeds:
             digests = fold_batch(blocks, seed)
-            bits = hashing.mod_batch(digests, self.geometry.cell_bits)
+            bits = mod_batch(digests, self.geometry.cell_bits)
             np.left_shift(np.uint64(1), bits, out=bits)
             np.bitwise_or.at(flat, self._cell_index(digests), bits)
         self.hash_calls += len(self.seeds) * count
@@ -222,7 +238,7 @@ class TwoDBloomFilter(_Filter):
             digests = fold_batch(blocks, seed)
             self.hash_calls += alive.size
             word = flat[self._cell_index(digests)]
-            word >>= hashing.mod_batch(digests, self.geometry.cell_bits)
+            word >>= mod_batch(digests, self.geometry.cell_bits)
             word &= np.uint64(1)
             hit = word.astype(bool)
             if not hit.all():

@@ -20,10 +20,13 @@ into one seed's initial state (which also holds the key length and the
 stride) and finalizes.  :func:`hash_key` is the scalar path for one seed
 and :func:`hash_batch` the batch stages composed for one seed.
 
-Two batch helpers serve the filters: :func:`as_key_matrix` admits only
-a 2-D uint8 key matrix, without casting, and :func:`mod_batch` reduces
-digests by a modulus through the quotient, ``x - (x // m) * m``, which
-equals ``x % m`` and is what the filters address with.
+The block stage copies no key bytes: one block of every key is read at
+once as an unaligned little-endian uint64 view over the key matrix, a
+row length apart, masked to the block's width and mixed in place, one
+round at a time.  Only the last few rows, whose 8-byte read would pass
+the end of the matrix, go through a zero-padded copy.
+:func:`as_key_matrix` admits only a 2-D uint8 key matrix, without
+casting, and makes it C-contiguous for those views.
 
 The committed golden-vector fixture (newline-delimited
 ``hex(key),seed,variant,hex(digest)`` records) anchors these digests
@@ -168,20 +171,26 @@ def as_key_matrix(keys: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(keys)
 
 
-def mod_batch(
-    x: np.ndarray, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``x mod m`` for a uint64 array and a modulus ``1 <= m < 2**64``.
+def _load_column(keys: np.ndarray, offset: int, width: int, out: np.ndarray) -> None:
+    """Bytes ``[offset, offset + width)`` of every row of the C-contiguous
+    uint8 matrix ``keys``, read little-endian into the uint64 row ``out``;
+    ``1 <= width <= 8``.
 
-    Computed as ``x - (x // m) * m``, equal to ``x % m`` element for
-    element: numpy divides by one invariant scalar with a multiply and a
-    shift, where ``%`` runs a hardware divide per element.  The result
-    goes to ``out`` if given (it must not be ``x``), else to a new array.
+    Each row's 8-byte read starting at ``offset`` is a view over the
+    matrix itself, one row length apart and unaligned.  A read that runs
+    past its row picks up the next row's bytes, which the width mask
+    drops; the last rows, whose read would pass the end of the buffer,
+    go through a zero-padded copy instead.
     """
-    m = np.uint64(m)
-    r = np.floor_divide(x, m, out=out)
-    r *= m
-    return np.subtract(x, r, out=r)
+    count, length = keys.shape
+    direct = min(count, max(0, (keys.size - offset - 8) // length + 1))
+    if direct:
+        view = np.ndarray((direct,), "<u8", buffer=keys, offset=offset, strides=(length,))
+        np.bitwise_and(view, np.uint64(_MASK64 >> 64 - 8 * width), out=out[:direct])
+    if direct < count:
+        tail = np.zeros((count - direct, 8), dtype=np.uint8)
+        tail[:, :width] = keys[direct:, offset : offset + width]
+        out[direct:] = tail.view("<u8")[:, 0]
 
 
 def mix_batch(
@@ -189,26 +198,35 @@ def mix_batch(
 ) -> KeyBlocks:
     """Block stage for every row of a ``(count, length)`` uint8 key matrix.
 
-    Each block is copied into a zero-filled 8-byte (16-byte for strides
-    above 8) slot and the slots are read as little-endian uint64 words in
-    one view; the high word of a 16-byte slot is XOR-folded into the low
-    one.  All keys in a matrix share one length, hence one initial state.
+    Round r's block is loaded for every key at once as a little-endian
+    uint64 view over the key matrix, masked to the block's width, into
+    row r of the output; for strides above 8 the 1-3 bytes above the word
+    are loaded the same way and XOR-folded in.  The row is then mixed in
+    place while it is still in cache, through one key-sized scratch row.
+    Beyond the ``(rounds, count)`` output only that scratch row and the
+    tail rows' small padded copies are allocated.  All keys in a matrix
+    share one length, hence one initial state.
     """
     keys = as_key_matrix(keys)
     count, length = keys.shape
     stride = int(variant)
     rounds = -(-length // stride)
-    slots = np.zeros((rounds, count, 8 if stride <= 8 else 16), dtype=np.uint8)
-    for r in range(rounds):
-        block = keys[:, r * stride : (r + 1) * stride]
-        slots[r, :, : block.shape[1]] = block
-    halves = slots.view("<u8").astype(np.uint64, copy=False)
-    k = halves[..., 0] if stride <= 8 else halves[..., 0] ^ halves[..., 1]
+    words = np.empty((rounds, count), dtype=np.uint64)
+    scratch = np.empty(count, dtype=np.uint64)
     mult = np.uint64(_MULT)
-    k *= mult
-    k ^= k >> np.uint64(_SHIFT)
-    k *= mult
-    return KeyBlocks(k, length, stride)
+    shift = np.uint64(_SHIFT)
+    for r, k in enumerate(words):
+        offset = r * stride
+        width = min(stride, length - offset)
+        _load_column(keys, offset, min(width, 8), k)
+        if width > 8:
+            _load_column(keys, offset + 8, width - 8, scratch)
+            k ^= scratch
+        k *= mult
+        np.right_shift(k, shift, out=scratch)
+        k ^= scratch
+        k *= mult
+    return KeyBlocks(words, length, stride)
 
 
 def fold_batch(blocks: KeyBlocks, seed: int) -> np.ndarray:

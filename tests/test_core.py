@@ -4,12 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bloom2d import core
 from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
-from bloom2d.core import TwoDBloomFilter
+from bloom2d.core import TwoDBloomFilter, mod_batch
 from bloom2d.geometry import FilterGeometry, derive_geometry
 from bloom2d.hashing import HashVariant, derive_seeds, hash_key
 from bloom2d.workload import generate_corpus, make_query_set
@@ -53,6 +53,39 @@ class TestCellAddress:
         addr = cell_address(200, f.geometry)
         f.cells[addr.row, addr.col] |= np.uint64(addr.mask)
         assert int(f.cells[5, 2]) == 131072
+
+
+# The moduli the filters reduce by: 1, the 2D shape's cell bits, rows and
+# columns at 10**6 keys, the flat filters' slot count there, and two
+# beyond 32 bits up to the largest uint64.
+MODULI = [1, 61, 317, 359, 14_377_588, 2**32 + 15, 2**64 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.one_of(st.sampled_from(MODULI), st.integers(1, 2**64 - 1)),
+    digests=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+)
+@example(m=MODULI[0], digests=[])
+@example(m=MODULI[1], digests=[])
+@example(m=MODULI[2], digests=[])
+@example(m=MODULI[3], digests=[])
+@example(m=MODULI[4], digests=[])
+@example(m=MODULI[5], digests=[])
+@example(m=MODULI[6], digests=[])
+def test_mod_batch_equals_remainder(m, digests):
+    """``mod_batch`` is ``%`` for every uint64 digest and modulus,
+    including 0, m - 1, m, 2**63 and 2**64 - 1, with and without ``out``."""
+    values = digests + [0, m - 1, m, 2**63, 2**64 - 1]
+    x = np.array(values, dtype=np.uint64)
+    expected = [v % m for v in values]
+    got = mod_batch(x, m)
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected == (x % np.uint64(m)).tolist()
+    out = np.empty_like(x)
+    assert mod_batch(x, m, out=out) is out
+    assert out.tolist() == expected
+    assert x.tolist() == values  # the input is left as it was
 
 
 class TestScalarOperations:

@@ -1,11 +1,12 @@
 """Hash family: golden vectors, the lane-parallel scalar kernel, the
 two-stage batch kernel, determinism, distribution, tail sensitivity."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -17,7 +18,6 @@ from bloom2d.hashing import (
     hash_key,
     hash_key_seeds,
     mix_batch,
-    mod_batch,
 )
 from reference_oracle import single_pass_digest
 
@@ -44,8 +44,13 @@ def test_golden_vectors_match_bit_for_bit():
     assert len(records) == 108
     for record in records:
         key_hex, seed, variant, digest_hex = record.split(",")
-        digest = hash_key(bytes.fromhex(key_hex), int(seed), HashVariant[variant])
+        key = bytes.fromhex(key_hex)
+        digest = hash_key(key, int(seed), HashVariant[variant])
         assert f"{digest:016x}" == digest_hex, record
+        # the batch path, one key as a one-row matrix, is pinned as well
+        matrix = np.frombuffer(key, dtype=np.uint8).reshape(1, len(key))
+        (batch,) = hash_batch(matrix, int(seed), HashVariant[variant]).tolist()
+        assert f"{batch:016x}" == digest_hex, record
 
 
 @given(key=st.binary(max_size=64), seed=seeds_st, variant=variants_st)
@@ -137,39 +142,6 @@ def test_batch_rejects_non_uint8(keys):
         mix_batch(keys, HashVariant.H4)
 
 
-# The moduli the filters reduce by: 1, the 2D shape's cell bits, rows and
-# columns at 10**6 keys, the flat filters' slot count there, and two
-# beyond 32 bits up to the largest uint64.
-MODULI = [1, 61, 317, 359, 14_377_588, 2**32 + 15, 2**64 - 1]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    m=st.one_of(st.sampled_from(MODULI), st.integers(1, 2**64 - 1)),
-    digests=st.lists(st.integers(0, 2**64 - 1), max_size=40),
-)
-@example(m=MODULI[0], digests=[])
-@example(m=MODULI[1], digests=[])
-@example(m=MODULI[2], digests=[])
-@example(m=MODULI[3], digests=[])
-@example(m=MODULI[4], digests=[])
-@example(m=MODULI[5], digests=[])
-@example(m=MODULI[6], digests=[])
-def test_mod_batch_equals_remainder(m, digests):
-    """``mod_batch`` is ``%`` for every uint64 digest and modulus,
-    including 0, m - 1, m, 2**63 and 2**64 - 1, with and without ``out``."""
-    values = digests + [0, m - 1, m, 2**63, 2**64 - 1]
-    x = np.array(values, dtype=np.uint64)
-    expected = [v % m for v in values]
-    got = mod_batch(x, m)
-    assert got.dtype == np.uint64
-    assert got.tolist() == expected == (x % np.uint64(m)).tolist()
-    out = np.empty_like(x)
-    assert mod_batch(x, m, out=out) is out
-    assert out.tolist() == expected
-    assert x.tolist() == values  # the input is left as it was
-
-
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_stages_match_single_pass_reference(variant):
     """The batch stages (block stage once, fold stage per seed) and the
@@ -195,6 +167,62 @@ def test_stages_match_single_pass_reference(variant):
             assert list(hash_key_seeds(key, tuple(seeds), variant)) == [
                 single_pass_digest(key, seed, stride) for seed in seeds
             ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=variants_st,
+    data=st.data(),
+    rows=st.integers(min_value=1, max_value=9),
+    kind=st.sampled_from(["fresh", "read-only", "row-slice"]),
+    seed=seeds_st,
+)
+def test_block_stage_views_match_single_pass_reference(variant, data, rows, kind, seed):
+    """The block stage reads each block as an unaligned uint64 view over
+    the key matrix, and a row whose 8-byte read would pass the end of the
+    matrix through a zero-padded copy; with at most 9 rows that tail is a
+    large share of them.  Its words fold to the direct one-pass digest
+    of every row of a fresh matrix, a read-only ``np.frombuffer`` matrix
+    and a row slice of a larger matrix (as a multi-slice batch call hands
+    one over), and the input is left as it was."""
+    stride = variant.block_bytes
+    length = data.draw(st.integers(min_value=0, max_value=3 * stride + 1))
+    raw = data.draw(st.binary(min_size=rows * length, max_size=rows * length))
+    if kind == "fresh":
+        matrix = np.frombuffer(raw, dtype=np.uint8).reshape(rows, length).copy()
+    elif kind == "read-only":
+        matrix = np.frombuffer(raw, dtype=np.uint8).reshape(rows, length)
+    else:
+        padding = np.full((2, length), 0xFF, dtype=np.uint8)
+        whole = np.concatenate(
+            [padding, np.frombuffer(raw, dtype=np.uint8).reshape(rows, length), padding]
+        )
+        matrix = whole[2 : 2 + rows]
+    before = matrix.copy()
+    blocks = mix_batch(matrix, variant)
+    assert blocks.words.shape == (-(-length // stride), rows)
+    expected = [single_pass_digest(row.tobytes(), seed, stride) for row in matrix]
+    assert fold_batch(blocks, seed).tolist() == expected
+    assert np.array_equal(matrix, before)
+
+
+def test_block_stage_transient_memory_per_key():
+    """The block stage allocates its ``(rounds, count)`` words and one
+    key-sized scratch row, 8 * (rounds + 1) B per key, and nothing that
+    grows with the keys beyond them.  65,536 H4 keys of 20 bytes (4
+    rounds) peak at 41.0 B per key; a block stage that zero-filled a
+    ``(rounds, count, 8)`` slot array and mixed it whole peaked at 64.0."""
+    count, length = 65_536, 20
+    keys = np.random.default_rng(5).integers(0, 256, size=(count, length), dtype=np.uint8)
+    rounds = -(-length // HashVariant.H4.block_bytes)
+    mix_batch(keys, HashVariant.H4)  # one-time allocations are not per key
+    tracemalloc.start()
+    try:
+        mix_batch(keys, HashVariant.H4)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / count < 8 * (rounds + 1) + 4
 
 
 # seeds at and past the 64-bit edges: only their low 64 bits count
