@@ -20,7 +20,6 @@ from .core import TwoDBloomFilter
 from .geometry import (
     FilterGeometry,
     GeometryUnderflowError,
-    SizingTrace,
     derive_geometry,
     min_supported_items,
     optimal_bits,
@@ -61,7 +60,6 @@ __all__ = [
     "PrimeTableExhaustedError",
     "QueryKind",
     "QuerySet",
-    "SizingTrace",
     "StandardBloomFilter",
     "TwoDBloomFilter",
     "default_table",

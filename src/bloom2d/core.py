@@ -89,6 +89,8 @@ class _Filter:
             raise ValueError(f"need {seed_count} seeds, got {len(seeds)}")
         self.variant = HashVariant(variant)
         self.seeds = tuple(int(s) for s in seeds)
+        if any(not 0 <= s < 1 << 64 for s in self.seeds):
+            raise ValueError(f"seeds must lie in [0, 2**64), got {self.seeds}")
         self.inserted_count = 0
         self.hash_calls = 0
 
@@ -133,7 +135,7 @@ class _Filter:
 
 
 class TwoDBloomFilter(_Filter):
-    """Prime-dimension matrix of fixed-width cells with bit-level deletion.
+    """Prime-dimension matrix of 64-bit cells with bit-level deletion.
 
     ``hash_calls`` counts probes evaluated, one digest each (a lookup
     that stops at its first unset bit counts only the probes up to it).
@@ -154,7 +156,6 @@ class TwoDBloomFilter(_Filter):
         cls,
         expected_items: int,
         fp_target: float,
-        cell_width: int = 64,
         variant: HashVariant = HashVariant.H4,
     ) -> "TwoDBloomFilter":
         """Filter with the shape :func:`derive_geometry` gives.
@@ -164,7 +165,7 @@ class TwoDBloomFilter(_Filter):
         ``fp_target``: about 0.021 at 10**5 items and 0.036 at 10**6 for
         ``fp_target = 0.001``.
         """
-        return cls(derive_geometry(expected_items, fp_target, cell_width), variant)
+        return cls(derive_geometry(expected_items, fp_target), variant)
 
     def insert(self, key: bytes) -> None:
         """Set one bit per seed; re-inserting a key changes no cell."""
@@ -252,7 +253,7 @@ class TwoDBloomFilter(_Filter):
         return result
 
     def memory_bits(self) -> int:
-        """Physical footprint in bits: rows * cols * cell_width."""
+        """Physical footprint in bits: rows * cols * 64, the size of ``cells``."""
         return self.geometry.memory_bits
 
     def count_set_bits(self) -> int:

@@ -74,10 +74,3 @@ def select_prime(table: PrimeTable, target: float) -> int:
         )
     return int(np.searchsorted(primes, target, side="right"))
 
-
-def largest_prime_at_most(table: PrimeTable, value: int) -> int:
-    """Largest table prime <= value (e.g. 61 for a 64-bit cell)."""
-    index = int(np.searchsorted(table.primes, value, side="right")) - 1
-    if index < 0:
-        raise ValueError(f"no prime at or below {value}")
-    return int(table.primes[index])

@@ -13,7 +13,7 @@ Layout, all little-endian:
 followed by a type-specific block:
 
     tag 1: rows I, cols I, cell_width B, cell_bits B, seeds k*Q,
-           cells as raw <u8 words, row-major
+           cells as raw <u8 words, row-major; cell_width is always 64
     tag 2: bits Q, seeds 2*Q, words as raw <u8
     tag 3: counters Q, seeds 2*Q, counters as raw u1
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .baselines import CountingBloomFilter, StandardBloomFilter
 from .core import TwoDBloomFilter
-from .geometry import FilterGeometry
+from .geometry import CELL_WIDTH, FilterGeometry
 from .hashing import HashVariant
 
 MAGIC = b"2DBLOOMF"
@@ -71,7 +71,7 @@ def save_filter(
     ]
     if tag == _TAG_2D:
         g = f.geometry
-        chunks.append(_SHAPE_2D.pack(g.rows, g.cols, g.cell_width, g.cell_bits))
+        chunks.append(_SHAPE_2D.pack(g.rows, g.cols, CELL_WIDTH, g.cell_bits))
         chunks.append(struct.pack(f"<{len(f.seeds)}Q", *f.seeds))
         chunks.append(np.ascontiguousarray(f.cells, dtype="<u8").tobytes())
     else:
@@ -98,10 +98,10 @@ def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFi
 
     A snapshot is untrusted input.  Its length must equal exactly what
     its header describes before any filter is built, the shape it names
-    must be valid, and the payload may hold no bit a filter never sets:
-    no cell bit at or above ``cell_bits``, no SBF word bit past ``bits``
-    and no CBF counter above ``COUNTER_MAX``.  Anything else raises
-    :class:`ValueError`.
+    must be valid (a 2D shape must name 64-bit cells), and the payload
+    may hold no bit a filter never sets: no cell bit at or above
+    ``cell_bits``, no SBF word bit past ``bits`` and no CBF counter above
+    ``COUNTER_MAX``.  Anything else raises :class:`ValueError`.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -118,13 +118,11 @@ def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFi
             raise ValueError(f"{path} is too short for a 2D filter shape")
         rows, cols, cell_width, cell_bits = _SHAPE_2D.unpack_from(raw, offset)
         offset += _SHAPE_2D.size
+        if cell_width != CELL_WIDTH:
+            raise ValueError(f"{path} names a {cell_width}-bit cell; cells are {CELL_WIDTH}-bit")
         _check_length(raw, offset + 8 * hash_count + 8 * rows * cols, path)
         geometry = FilterGeometry(
-            rows=rows,
-            cols=cols,
-            cell_bits=cell_bits,
-            hash_count=hash_count,
-            cell_width=cell_width,
+            rows=rows, cols=cols, cell_bits=cell_bits, hash_count=hash_count
         )
         seeds = struct.unpack_from(f"<{hash_count}Q", raw, offset)
         offset += 8 * hash_count

@@ -19,7 +19,8 @@ a filter.
 
 On disk a key set is a newline-delimited UTF-8 text file; query sets
 carry a sidecar ``<path>.truth`` file holding the labels as packed bits
-(``numpy.packbits`` order).
+(``numpy.packbits`` order): exactly ``(n + 7) // 8`` bytes for n keys,
+padding bits zero, or reading it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -239,8 +240,15 @@ def read_query_set(path, kind: QueryKind | str = QueryKind.RANDOM) -> QuerySet:
     truth = None
     sidecar = truth_sidecar_path(path)
     if sidecar.exists():
-        bits = np.unpackbits(np.frombuffer(sidecar.read_bytes(), dtype=np.uint8))
-        if bits.size < matrix.shape[0]:
-            raise ValueError(f"{sidecar} holds fewer labels than {path} holds keys")
-        truth = bits[: matrix.shape[0]].astype(bool)
+        count = matrix.shape[0]
+        raw = sidecar.read_bytes()
+        if len(raw) != (count + 7) // 8:
+            raise ValueError(
+                f"{sidecar} holds {len(raw)} bytes; {path} holds {count} keys, "
+                f"which take {(count + 7) // 8}"
+            )
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        if bits[count:].any():
+            raise ValueError(f"{sidecar} sets a padding bit past its {count} labels")
+        truth = bits[:count].astype(bool)
     return QuerySet(QueryKind(kind), matrix, truth, None)

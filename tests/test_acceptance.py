@@ -91,7 +91,7 @@ def test_c01_reference_sizing():
 
 
 def test_c02_reference_geometry():
-    g = derive_geometry(10_000_000, 0.001, 64)
+    g = derive_geometry(10_000_000, 0.001)
     # independent derivation by trial division, no sieve involved
     bits = math.ceil(-10_000_000 * math.log(0.001) / math.log(2) ** 2)
     beta = next(v for v in range(64, 1, -1) if _is_prime(v))
@@ -214,7 +214,7 @@ def test_c07_delete_semantics():
 
 
 def test_c08_toy_scale_oracle_equivalence(bit_matrix_oracle_cls):
-    geometry = FilterGeometry(rows=13, cols=11, cell_bits=61, hash_count=2, cell_width=64)
+    geometry = FilterGeometry(rows=13, cols=11, cell_bits=61, hash_count=2)
     filt = TwoDBloomFilter(geometry, HashVariant.H4)
     oracle = bit_matrix_oracle_cls(geometry, filt.variant, filt.seeds)
     rng = np.random.default_rng(SEED)

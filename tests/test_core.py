@@ -21,15 +21,13 @@ from reference_oracle import (
     key_matrix,
 )
 
-TOY = FilterGeometry(rows=13, cols=11, cell_bits=61, hash_count=2, cell_width=64)
+TOY = FilterGeometry(rows=13, cols=11, cell_bits=61, hash_count=2)
 
 keys_st = st.binary(min_size=0, max_size=32)
 
 
 def toy_filter(hash_count=2):
-    geometry = FilterGeometry(
-        rows=13, cols=11, cell_bits=61, hash_count=hash_count, cell_width=64
-    )
+    geometry = FilterGeometry(rows=13, cols=11, cell_bits=61, hash_count=hash_count)
     return TwoDBloomFilter(geometry, HashVariant.H4)
 
 
@@ -221,7 +219,7 @@ def test_batch_ops_match_bit_matrix_oracle(data):
     length, the empty key among them, repeats keys (in-batch duplicates)
     and may be empty; the script ends in equal cells.  The filter has
     42 usable bits, so lookups often pass early probes and fail later."""
-    geometry = FilterGeometry(rows=3, cols=2, cell_bits=7, hash_count=3, cell_width=64)
+    geometry = FilterGeometry(rows=3, cols=2, cell_bits=7, hash_count=3)
     f = TwoDBloomFilter(geometry, HashVariant.H4)
     oracle = BitMatrixOracle(f.geometry, f.variant, f.seeds)
     lengths = [0] + data.draw(st.lists(st.integers(1, 32), min_size=1, max_size=3, unique=True))
@@ -555,12 +553,19 @@ def test_lookup_edges_match_scalar(kind, slice_keys, case, monkeypatch):
 
 
 class TestMemoryAccounting:
-    def test_toy_memory(self):
+    def test_toy_memory(self, tmp_path):
         assert toy_filter().memory_bits() == 13 * 11 * 64 == 9152
+        # memory_bits is the size of the cell array, for a hand-made shape,
+        # a derived one and one rebuilt from a snapshot
+        sized = TwoDBloomFilter.for_capacity(100_000, 0.001)
+        sized.save(tmp_path / "sized.snap")
+        loaded = TwoDBloomFilter.load(tmp_path / "sized.snap")
+        for f in (toy_filter(), sized, loaded):
+            assert f.memory_bits() == f.cells.nbytes * 8
 
     def test_reference_memory(self):
         f = TwoDBloomFilter(
-            FilterGeometry(rows=1097, cols=1061, cell_bits=61, hash_count=5, cell_width=64)
+            FilterGeometry(rows=1097, cols=1061, cell_bits=61, hash_count=5)
         )
         assert f.memory_bits() == 74_490_688
 

@@ -1,10 +1,10 @@
 """Sizing formulas and the prime X-by-Y shape derivation."""
 
-import math
-
 import pytest
 
 from bloom2d.geometry import (
+    CELL_BITS,
+    CELL_WIDTH,
     FilterGeometry,
     GeometryUnderflowError,
     derive_geometry,
@@ -12,7 +12,7 @@ from bloom2d.geometry import (
     optimal_bits,
     optimal_hash_count,
 )
-from bloom2d.primes import PrimeTable, PrimeTableExhaustedError
+from bloom2d.primes import PrimeTableExhaustedError
 
 from test_primes import trial_division_is_prime
 
@@ -60,18 +60,9 @@ class TestOptimalHashCount:
 
 class TestDeriveGeometry:
     def test_reference_shape(self):
-        g = derive_geometry(10_000_000, 0.001, 64)
+        g = derive_geometry(10_000_000, 0.001)
         assert (g.rows, g.cols, g.cell_bits, g.hash_count) == (1097, 1061, 61, 5)
-        assert g.cell_width == 64
         assert g.memory_bits == 1097 * 1061 * 64 == 74_490_688
-
-    def test_reference_trace(self):
-        g = derive_geometry(10_000_000, 0.001, 64)
-        t = g.trace
-        assert t.bits == optimal_bits(10_000_000, 0.001)
-        assert t.cell_target == t.bits // 122 == 1_178_490
-        assert math.isclose(t.dim_target, 1085.58, abs_tol=0.01)
-        assert t.dim_target == math.sqrt(t.cell_target)  # fraction retained
 
     def test_dimensions_are_distinct_primes(self):
         for n in (250, 10_000, 1_000_000):
@@ -82,13 +73,11 @@ class TestDeriveGeometry:
             assert g.rows != g.cols
             assert g.rows > g.cols  # three slots above vs below the target
 
-    @pytest.mark.parametrize(
-        "cell_width,expected_cell_bits", [(8, 7), (16, 13), (32, 31), (64, 61)]
-    )
-    def test_cell_bits_is_largest_prime_within_width(self, cell_width, expected_cell_bits):
-        g = derive_geometry(100_000, 0.01, cell_width)
-        assert g.cell_bits == expected_cell_bits
-        assert g.cell_bits <= g.cell_width
+    @pytest.mark.parametrize("width,expected_cell_bits", [(CELL_WIDTH, 61)])
+    def test_cell_bits_is_largest_prime_within_width(self, width, expected_cell_bits):
+        largest = max(v for v in range(2, width + 1) if trial_division_is_prime(v))
+        assert CELL_BITS == largest == expected_cell_bits
+        assert derive_geometry(100_000, 0.01).cell_bits == CELL_BITS
 
     def test_half_hash_count(self):
         g = derive_geometry(1_000_000, 0.001)
@@ -105,10 +94,6 @@ class TestDeriveGeometry:
         g = derive_geometry(1_000_000, 0.001)
         assert g.memory_bits < optimal_bits(1_000_000, 0.001)
 
-    def test_rejects_unsupported_cell_width(self):
-        with pytest.raises(ValueError):
-            derive_geometry(1_000_000, 0.001, cell_width=48)
-
     def test_underflow_names_minimum_capacity(self):
         floor = min_supported_items(0.001)
         assert floor == 213
@@ -121,13 +106,17 @@ class TestDeriveGeometry:
             derive_geometry(floor - 1, 0.001)
 
     def test_table_exhaustion_propagates(self):
-        tiny = PrimeTable.up_to(200)
-        with pytest.raises(PrimeTableExhaustedError):
-            derive_geometry(10_000_000, 0.001, table=tiny)
+        # dimension target 3.4e7, past the table's last prime 9,999,991
+        with pytest.raises(PrimeTableExhaustedError, match="no prime above"):
+            derive_geometry(10**16, 0.001)
+        # target 9,999,967: the first prime above it, 9,999,971, is third
+        # from the table's end, so no prime lies three slots above it
+        with pytest.raises(PrimeTableExhaustedError, match="cannot place a dimension"):
+            derive_geometry(848_537_310_177_106, 0.001)
 
 
 class TestGeometryInvariants:
-    VALID = dict(rows=13, cols=11, cell_bits=61, hash_count=2, cell_width=64)
+    VALID = dict(rows=13, cols=11, cell_bits=61, hash_count=2)
 
     def test_valid_shape_is_accepted(self):
         g = FilterGeometry(**self.VALID)
@@ -141,15 +130,13 @@ class TestGeometryInvariants:
             dict(cols=1),                           # cols not prime
             dict(cell_bits=63),                     # cell_bits not prime
             dict(rows=11),                          # rows == cols
-            dict(cell_width=48),                    # unsupported width
             dict(cell_bits=67),                     # prime, wider than the cell
-            dict(cell_bits=11, cell_width=8),       # prime, wider than the cell
             dict(hash_count=0),
             dict(hash_count=-1),
         ],
         ids=[
             "square-composite", "rows-composite", "cols-one", "cell-bits-composite",
-            "rows-equal-cols", "width-48", "cell-bits-67-of-64", "cell-bits-11-of-8",
+            "rows-equal-cols", "cell-bits-67-of-64",
             "hash-count-0", "hash-count-negative",
         ],
     )
@@ -157,7 +144,8 @@ class TestGeometryInvariants:
         with pytest.raises(ValueError):
             FilterGeometry(**{**self.VALID, **change})
 
-    @pytest.mark.parametrize("cell_width", [8, 16, 32, 64])
-    def test_derived_shapes_pass_the_checks(self, cell_width):
-        for n in (min_supported_items(0.01, cell_width), 100_000):
-            derive_geometry(n, 0.01, cell_width)
+    @pytest.mark.parametrize("width", [CELL_WIDTH])
+    def test_derived_shapes_pass_the_checks(self, width):
+        for n in (min_supported_items(0.01), 100_000):
+            g = derive_geometry(n, 0.01)
+            assert g.memory_bits == g.rows * g.cols * width

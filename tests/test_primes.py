@@ -10,7 +10,6 @@ from bloom2d.primes import (
     PrimeTableExhaustedError,
     default_table,
     is_prime,
-    largest_prime_at_most,
     select_prime,
     sieve_primes,
 )
@@ -100,14 +99,3 @@ class TestSelectPrime:
         assert table.primes[index] > target
         if index > 0:
             assert table.primes[index - 1] <= target
-
-
-def test_largest_prime_at_most():
-    table = default_table()
-    assert largest_prime_at_most(table, 64) == 61
-    assert largest_prime_at_most(table, 32) == 31
-    assert largest_prime_at_most(table, 16) == 13
-    assert largest_prime_at_most(table, 8) == 7
-    assert largest_prime_at_most(table, 2) == 2
-    with pytest.raises(ValueError):
-        largest_prime_at_most(table, 1)

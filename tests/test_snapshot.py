@@ -19,6 +19,7 @@ from bloom2d.workload import generate_corpus
 # cell_bits B at 33, seeds from 34) or the flat shape (bits Q at 24,
 # seeds 2Q, payload from 48)
 HASH_COUNT_AT = 12
+CELL_WIDTH_AT = 32
 CELL_BITS_AT = 33
 BITS_AT = 24
 SEEDS_2D_AT = 34
@@ -45,7 +46,6 @@ def test_two_d_round_trip_is_bit_exact(tmp_path, corpus):
     assert g.inserted_count == f.inserted_count
     assert (g.geometry.rows, g.geometry.cols) == (f.geometry.rows, f.geometry.cols)
     assert g.geometry.cell_bits == f.geometry.cell_bits
-    assert g.geometry.cell_width == f.geometry.cell_width
     # behaves identically after reload
     assert g.contains(corpus.key(1)) == f.contains(corpus.key(1))
     assert not g.contains(corpus.key(0))
@@ -122,15 +122,20 @@ def test_bad_files_are_rejected(tmp_path):
         load_filter(bad_version)
 
 
+def small_filter(kind, seeds=None):
+    """An empty small filter of ``kind``, each with two seeds."""
+    return {
+        "robustbf": lambda: TwoDBloomFilter(
+            FilterGeometry(rows=5, cols=3, cell_bits=61, hash_count=2), seeds=seeds
+        ),
+        "sbf": lambda: StandardBloomFilter(20, 0.1, seeds=seeds),
+        "cbf": lambda: CountingBloomFilter(20, 0.1, seeds=seeds),
+    }[kind]()
+
+
 def small_filters():
     """One small filter of each type, with a few keys inserted."""
-    filters = {
-        "robustbf": TwoDBloomFilter(
-            FilterGeometry(rows=5, cols=3, cell_bits=61, hash_count=2, cell_width=64)
-        ),
-        "sbf": StandardBloomFilter(20, 0.1),
-        "cbf": CountingBloomFilter(20, 0.1),
-    }
+    filters = {kind: small_filter(kind) for kind in ("robustbf", "sbf", "cbf")}
     for f in filters.values():
         for key in KEYS[:3]:
             f.insert(key)
@@ -153,6 +158,26 @@ def patched(raw: bytes, offset: int, fmt: str, value: int) -> bytes:
     out = bytearray(raw)
     struct.pack_into(fmt, out, offset, value)
     return bytes(out)
+
+
+@pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_rejected(kind, seed):
+    # the snapshot stores each seed as <Q, so such a filter could not be saved
+    with pytest.raises(ValueError):
+        small_filter(kind, [0, seed])
+
+
+@pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
+def test_edge_seeds_round_trip(tmp_path, kind):
+    f = small_filter(kind, [0, 2**64 - 1])
+    for key in KEYS:
+        f.insert(key)
+    raw = snapshot_bytes(tmp_path, f)
+    g = load_bytes(tmp_path, raw)
+    assert g.seeds == (0, 2**64 - 1)
+    assert all(g.contains(key) for key in KEYS)
+    assert snapshot_bytes(tmp_path, g) == raw
 
 
 @pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
@@ -185,6 +210,14 @@ def test_two_d_cell_bits_wider_than_cell_is_rejected(tmp_path):
     raw = snapshot_bytes(tmp_path, small_filters()["robustbf"])
     with pytest.raises(ValueError):
         load_bytes(tmp_path, patched(raw, CELL_BITS_AT, "<B", 200))
+
+
+@pytest.mark.parametrize("width", [0, 8, 16, 32, 48, 255])
+def test_two_d_cell_width_other_than_64_is_rejected(tmp_path, width):
+    raw = snapshot_bytes(tmp_path, small_filters()["robustbf"])
+    assert raw[CELL_WIDTH_AT] == 64
+    with pytest.raises(ValueError):
+        load_bytes(tmp_path, patched(raw, CELL_WIDTH_AT, "<B", width))
 
 
 def test_hash_count_beyond_the_bytes_present_is_rejected(tmp_path):

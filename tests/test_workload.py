@@ -163,6 +163,22 @@ class TestFiles:
         assert np.array_equal(loaded.matrix, qs.matrix)
         assert np.array_equal(loaded.truth, qs.truth)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda raw: raw + b"\xff" * 50, lambda raw: raw[:-1] + bytes([raw[-1] | 1])],
+        ids=["trailing-bytes", "padding-bit-set"],
+    )
+    def test_sidecar_must_hold_exactly_the_labels(self, tmp_path, edit):
+        corpus = generate_corpus(500, 11)
+        path = tmp_path / "queries.keys"
+        # 403 labels take 51 bytes and leave 5 zero padding bits
+        write_query_set(make_query_set("mixed", corpus, 403, 13), path)
+        read_query_set(path, "mixed")
+        sidecar = truth_sidecar_path(path)
+        sidecar.write_bytes(edit(sidecar.read_bytes()))
+        with pytest.raises(ValueError):
+            read_query_set(path, "mixed")
+
     def test_read_without_sidecar_has_no_truth(self, tmp_path):
         corpus = generate_corpus(100, 11)
         path = tmp_path / "corpus.keys"
