@@ -16,16 +16,17 @@ the other key.  Callers that need safe deletion under collisions should
 use :class:`~bloom2d.baselines.CountingBloomFilter` instead.
 
 Batch calls walk the key matrix in row slices of at most
-:data:`SLICE_KEYS` keys, so the temporaries of one call stay the size of
-one slice however many keys it holds.  Slicing changes no result: bits
-are ORed, lookups are per key, and the counting filter's saturating add
-composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
+:data:`SLICE_KEYS` keys, ``SLICE_KEYS // k`` for a scattering insert, so
+a call's temporaries stay the size of one slice.  Slicing changes no
+result: bits are ORed, lookups are per key, and the counting filter's
+saturating add composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
 
 Batch paths reduce a digest d by each modulus m through its quotient,
 d - (d // m) * m (:func:`mod_batch`), which equals
-d mod m and avoids a hardware divide per element.  A batch lookup keeps
-the row numbers of the keys still alive, compacts them only after a
-probe some key misses, and writes the answers once at the end.
+d mod m and avoids a hardware divide per element.  An insert takes all k
+probes of a slice as one ``(k, count)`` matrix; a lookup folds one seed
+at a time, keeps the row numbers of the keys still alive, compacts them
+only after a probe some key misses, and writes the answers once at the end.
 
 A filter instance tolerates one writer or any number of concurrent
 readers; there is no internal synchronisation.
@@ -33,6 +34,7 @@ readers; there is no internal synchronisation.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -45,10 +47,10 @@ from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_
 # perfbench's trace times every function imported from hashing by name as
 # the hash layer.
 
-# Keys per slice of a batch call: 65,536 keep a slice's temporaries to a
-# few MiB (the counting filter's insert peaks near 26 B per key of the
-# whole call at 10**6 keys), and 32k to 131k keys per slice ran equally
-# fast.  Read on each call, so a test can patch it down.
+# Keys per slice, or probes (k per key) per scattering insert slice:
+# 65,536 keep temporaries to a few MiB (lookups ran as fast at 32k-131k
+# keys); scattering inserts of 65,536 keys, whose k x count matrices spill
+# a 2 MiB L2, ran ~8% slower.  Read on each call, so a test can patch it.
 SLICE_KEYS = 65_536
 
 
@@ -75,10 +77,12 @@ class _Filter:
     and the snapshot ``save``/``load`` pair.
 
     It also owns the batch entry points: ``insert_batch`` and
-    ``contains_batch`` hand each row slice of at most ``SLICE_KEYS`` keys
-    to the filter's ``_insert_slice``/``_contains_slice``.  A matrix of
-    no more keys than that, an empty one included, is handed over whole.
+    ``contains_batch`` hand each row slice (see ``SLICE_KEYS``) to the
+    filter's ``_insert_slice``/``_contains_slice``.  A matrix of no more
+    keys than a slice, an empty one included, is handed over whole.
     """
+
+    _insert_by_keys = False  # True: insert slices of SLICE_KEYS keys, not probes
 
     def __init__(
         self, variant: HashVariant, seeds: Sequence[int] | None, seed_count: int
@@ -88,28 +92,28 @@ class _Filter:
         if len(seeds) != seed_count:
             raise ValueError(f"need {seed_count} seeds, got {len(seeds)}")
         self.variant = HashVariant(variant)
-        self.seeds = tuple(int(s) for s in seeds)
-        if any(not 0 <= s < 1 << 64 for s in self.seeds):
-            raise ValueError(f"seeds must lie in [0, 2**64), got {self.seeds}")
+        self.seeds = tuple(operator.index(s) for s in seeds)  # 1.9 raises, not 1
+        if len(set(self.seeds)) < seed_count or any(not 0 <= s < 1 << 64 for s in self.seeds):
+            raise ValueError(f"seeds must be distinct and in [0, 2**64), got {self.seeds}")
         self.inserted_count = 0
         self.hash_calls = 0
 
     @staticmethod
-    def _slices(keys: np.ndarray):
+    def _slices(keys: np.ndarray, size: int):
         keys = hashing.as_key_matrix(keys)
-        size = SLICE_KEYS
         if len(keys) <= size:
             return (keys,)
         return (keys[start : start + size] for start in range(0, len(keys), size))
 
     def insert_batch(self, keys: np.ndarray) -> None:
         """Insert every row of a ``(count, length)`` uint8 key matrix."""
-        for part in self._slices(keys):
+        size = SLICE_KEYS if self._insert_by_keys else max(1, SLICE_KEYS // self.hash_count)
+        for part in self._slices(keys, size):
             self._insert_slice(part)
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
         """One bool per row of a ``(count, length)`` uint8 key matrix."""
-        answers = [self._contains_slice(part) for part in self._slices(keys)]
+        answers = [self._contains_slice(part) for part in self._slices(keys, SLICE_KEYS)]
         return answers[0] if len(answers) == 1 else np.concatenate(answers)
 
     def _insert_slice(self, keys: np.ndarray) -> None:
@@ -148,7 +152,7 @@ class TwoDBloomFilter(_Filter):
         seeds: Sequence[int] | None = None,
     ) -> None:
         super().__init__(variant, seeds, geometry.hash_count)
-        self.geometry = geometry
+        self.geometry, self.hash_count = geometry, geometry.hash_count
         self.cells = np.zeros((geometry.rows, geometry.cols), dtype=np.uint64)
 
     @classmethod
@@ -209,16 +213,13 @@ class TwoDBloomFilter(_Filter):
         return index.view(np.int64)
 
     def _insert_slice(self, keys: np.ndarray) -> None:
-        blocks = mix_batch(keys, self.variant)
-        count = blocks.words.shape[1]
-        flat = self.cells.reshape(-1)
-        for seed in self.seeds:
-            digests = fold_batch(blocks, seed)
-            bits = mod_batch(digests, self.geometry.cell_bits)
-            np.left_shift(np.uint64(1), bits, out=bits)
-            np.bitwise_or.at(flat, self._cell_index(digests), bits)
-        self.hash_calls += len(self.seeds) * count
-        self.inserted_count += count
+        digests = fold_batch(mix_batch(keys, self.variant), self.seeds)
+        index = self._cell_index(digests)
+        bits = mod_batch(digests, self.geometry.cell_bits)
+        np.left_shift(np.uint64(1), bits, out=bits)
+        np.bitwise_or.at(self.cells.reshape(-1), index.ravel(), bits.ravel())
+        self.hash_calls += digests.size
+        self.inserted_count += digests.shape[1]
 
     def _contains_slice(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised lookup returning a boolean per row.

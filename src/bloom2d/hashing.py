@@ -16,9 +16,9 @@ mixed once however many digests a filter takes of it.  The scalar path,
 block into all k seed states at once, held in 128-bit lanes of one
 Python int.  The batch path keeps two stages: :func:`mix_batch` loads
 and mixes every key's blocks once, and :func:`fold_batch` folds them
-into one seed's initial state (which also holds the key length and the
-stride) and finalizes.  :func:`hash_key` is the scalar path for one seed
-and :func:`hash_batch` the batch stages composed for one seed.
+into one or k seeds' initial states at once (which also hold the key
+length and the stride) and finalizes.  :func:`hash_key` is the scalar
+path for one seed and :func:`hash_batch` the batch stages composed.
 
 The block stage copies no key bytes: one block of every key is read at
 once as an unaligned little-endian uint64 view over the key matrix, a
@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import struct
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,17 +230,19 @@ def mix_batch(
     return KeyBlocks(words, length, stride)
 
 
-def fold_batch(blocks: KeyBlocks, seed: int) -> np.ndarray:
-    """Fold stage for a key matrix: one uint64 digest per key under ``seed``.
-
-    Folds only the keys whose columns ``blocks.words`` holds, so a lookup
-    that has ruled keys out can pass ``blocks.words[:, alive]``.
-    """
+def fold_batch(blocks: KeyBlocks, seeds: int | Sequence[int]) -> np.ndarray:
+    """Fold stage: one uint64 digest per key under one seed, or under each
+    of a sequence of seeds as a ``(len(seeds), count)`` array, all folded
+    at once.  A seed's low 64 bits count, as in :func:`hash_key`.  Only the
+    columns ``blocks.words`` holds fold, so a lookup can pass ``words[:, alive]``."""
     words = blocks.words
-    mult = np.uint64(_MULT)
-    shift = np.uint64(_SHIFT)
-    state = (seed ^ (blocks.length * _MULT) ^ (blocks.stride * _VARIANT_SALT)) & _MASK64
-    h = np.full(words.shape[1], state, dtype=np.uint64)
+    mult, shift = np.uint64(_MULT), np.uint64(_SHIFT)
+    salt = blocks.length * _MULT ^ blocks.stride * _VARIANT_SALT
+    if isinstance(seeds, (int, np.integer)):
+        h = np.full(words.shape[1], (operator.index(seeds) ^ salt) & _MASK64, dtype=np.uint64)
+    else:
+        states = [(operator.index(seed) ^ salt) & _MASK64 for seed in seeds]
+        h = np.repeat(np.array(states, dtype=np.uint64)[:, None], words.shape[1], axis=1)
     for k in words:
         h ^= k
         h *= mult

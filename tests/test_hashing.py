@@ -247,6 +247,35 @@ def test_scalar_kernel_matches_single_pass_reference(variant, data, seeds):
     assert [hash_key(key, seed, variant) for seed in seeds] == expected
 
 
+fold_seeds_st = edge_seeds_st | st.sampled_from([2**63, 2**64, 2**70 + 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variant=variants_st,
+    data=st.data(),
+    seeds=st.lists(fold_seeds_st, min_size=1, max_size=12),
+)
+def test_multi_seed_fold_stacks_single_seed_folds(variant, data, seeds):
+    """Folding a list of seeds gives one row per seed, each equal to that
+    seed's own fold, for every key and for a column subset of the block
+    words (as a lookup passes its survivors)."""
+    rows = data.draw(st.integers(min_value=0, max_value=9))
+    length = data.draw(st.integers(min_value=0, max_value=3 * variant.block_bytes + 1))
+    raw = data.draw(st.binary(min_size=rows * length, max_size=rows * length))
+    blocks = mix_batch(np.frombuffer(raw, dtype=np.uint8).reshape(rows, length), variant)
+    alive = np.array(sorted(data.draw(st.sets(st.integers(0, max(rows - 1, 0)))) if rows else []),
+                     dtype=np.intp)
+    for part in (blocks, blocks._replace(words=blocks.words[:, alive])):
+        folded = fold_batch(part, seeds)
+        assert folded.dtype == np.uint64
+        assert folded.shape == (len(seeds), part.words.shape[1])
+        expected = np.array([fold_batch(part, seed) for seed in seeds]).reshape(folded.shape)
+        assert np.array_equal(folded, expected)
+        assert np.array_equal(folded, fold_batch(part, [seed % 2**64 for seed in seeds]))
+        assert np.array_equal(folded[0], fold_batch(part, np.uint64(seeds[0] % 2**64)))
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_stages_on_zero_row_matrix(variant):
     for length in (0, 20):

@@ -181,6 +181,37 @@ def test_edge_seeds_round_trip(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
+def test_repeated_seeds_are_rejected(tmp_path, kind):
+    """Equal seeds give equal probes, so seeds ``[7, 7]`` would make a
+    filter that behaves as one probe fewer.  Building one raises, and so
+    does loading a snapshot whose second seed is patched to the first."""
+    with pytest.raises(ValueError):
+        small_filter(kind, [7, 7])
+    raw = snapshot_bytes(tmp_path, small_filter(kind, [7, 8]))
+    second = (SEEDS_2D_AT if kind == "robustbf" else BITS_AT + 8) + 8
+    assert struct.unpack_from("<Q", raw, second) == (8,)
+    with pytest.raises(ValueError):
+        load_bytes(tmp_path, patched(raw, second, "<Q", 7))
+
+
+@pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
+def test_seeds_must_be_integers(tmp_path, kind):
+    """A float seed raises ``TypeError`` rather than being truncated (1.9
+    and 1 would name one filter); numpy integer seeds are read as the
+    Python ints they hold, so the filter's snapshot is the same."""
+    with pytest.raises(TypeError):
+        small_filter(kind, [1.9, 2.2])
+    f = small_filter(kind, [np.uint64(3), np.uint64(2**64 - 1)])
+    assert f.seeds == (3, 2**64 - 1) and all(type(s) is int for s in f.seeds)
+    keys = generate_corpus(20, 5).matrix
+    f.insert_batch(keys)
+    plain = small_filter(kind, [3, 2**64 - 1])
+    for row in keys:
+        plain.insert(row.tobytes())
+    assert snapshot_bytes(tmp_path, f) == snapshot_bytes(tmp_path, plain)
+
+
+@pytest.mark.parametrize("kind", ["robustbf", "sbf", "cbf"])
 def test_trailing_byte_is_rejected(tmp_path, kind):
     raw = snapshot_bytes(tmp_path, small_filters()[kind])
     load_bytes(tmp_path, raw)  # the exact bytes load
