@@ -12,10 +12,9 @@ Positions are derived by a running sum, ``g <- (g + h2) mod 2^64`` from
 ``g = h1``, one probe at a time; batch paths take ``g mod m`` through the
 quotient, ``g - (g // m) * m`` (:func:`~bloom2d.core.mod_batch`), the
 same value.  Lookups derive a position only for keys still alive, so
-they stop at a key's first empty slot.  A batch insert holds the k x
-count position matrix of one slice (see :mod:`bloom2d.core`): the
-standard filter ORs it in with one ``bitwise_or.at``, the counting
-filter sorts it once for its saturating add.
+they stop at a key's first empty slot.  A batch insert holds one slice's
+k x count position matrix (see :mod:`bloom2d.core`): the standard filter
+ORs it in at once, the counting filter sorts it for its saturating add.
 
 Scalar operations read and write storage through a ``memoryview`` made
 on each call, as the core filter's do.  Concurrency contract matches the
@@ -88,8 +87,7 @@ class _DoubleHashingFilter(_Filter):
         return hash_key_seeds(key, self.seeds, self.variant)
 
     def _digest_batch(self, keys: np.ndarray) -> np.ndarray:
-        """(h1, h2) as the two rows of one fresh ``(2, count)`` uint64
-        array for a uint8 key matrix, from one fold of both seeds."""
+        """(h1, h2) as the rows of one fresh ``(2, count)`` uint64 array."""
         digests = fold_batch(mix_batch(keys, self.variant), self.seeds)
         self.hash_calls += digests.size
         return digests
@@ -201,7 +199,6 @@ class CountingBloomFilter(_DoubleHashingFilter):
     """
 
     COUNTER_MAX = 15
-    _insert_by_keys = True  # its sorted add ran 8% faster by keys at 10**6 keys
 
     def _allocate(self) -> None:
         self.counters = np.zeros(self.bits, dtype=np.uint8)

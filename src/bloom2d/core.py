@@ -16,17 +16,17 @@ the other key.  Callers that need safe deletion under collisions should
 use :class:`~bloom2d.baselines.CountingBloomFilter` instead.
 
 Batch calls walk the key matrix in row slices of at most
-:data:`SLICE_KEYS` keys, ``SLICE_KEYS // k`` for a scattering insert, so
-a call's temporaries stay the size of one slice.  Slicing changes no
-result: bits are ORed, lookups are per key, and the counting filter's
-saturating add composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
+:data:`SLICE_KEYS` keys, so the temporaries of one call stay the size of
+one slice however many keys it holds.  Slicing changes no result: bits
+are ORed, lookups are per key, and the counting filter's saturating add
+composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
 
 Batch paths reduce a digest d by each modulus m through its quotient,
-d - (d // m) * m (:func:`mod_batch`), which equals
-d mod m and avoids a hardware divide per element.  An insert takes all k
-probes of a slice as one ``(k, count)`` matrix; a lookup folds one seed
-at a time, keeps the row numbers of the keys still alive, compacts them
-only after a probe some key misses, and writes the answers once at the end.
+d - (d // m) * m (:func:`mod_batch`), which equals d mod m and avoids a
+hardware divide per element.  An insert takes a slice's k probes as one
+``(k, count)`` matrix; a lookup folds one seed at a time, keeps the row
+numbers of the keys still alive, compacts them only after a probe some
+key misses, and writes the answers once at the end.
 
 A filter instance tolerates one writer or any number of concurrent
 readers; there is no internal synchronisation.
@@ -47,10 +47,10 @@ from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_
 # perfbench's trace times every function imported from hashing by name as
 # the hash layer.
 
-# Keys per slice, or probes (k per key) per scattering insert slice:
-# 65,536 keep temporaries to a few MiB (lookups ran as fast at 32k-131k
-# keys); scattering inserts of 65,536 keys, whose k x count matrices spill
-# a 2 MiB L2, ran ~8% slower.  Read on each call, so a test can patch it.
+# Keys per slice of a batch call: 65,536 keep a slice's temporaries to a
+# few MiB (the counting filter's insert peaks near 26 B per key of the
+# whole call at 10**6 keys), and 32k to 131k keys per slice ran equally
+# fast.  Read on each call, so a test can patch it down.
 SLICE_KEYS = 65_536
 
 
@@ -77,12 +77,10 @@ class _Filter:
     and the snapshot ``save``/``load`` pair.
 
     It also owns the batch entry points: ``insert_batch`` and
-    ``contains_batch`` hand each row slice (see ``SLICE_KEYS``) to the
-    filter's ``_insert_slice``/``_contains_slice``.  A matrix of no more
-    keys than a slice, an empty one included, is handed over whole.
+    ``contains_batch`` hand each row slice of at most ``SLICE_KEYS`` keys
+    to the filter's ``_insert_slice``/``_contains_slice``.  A matrix of
+    no more keys than that, an empty one included, is handed over whole.
     """
-
-    _insert_by_keys = False  # True: insert slices of SLICE_KEYS keys, not probes
 
     def __init__(
         self, variant: HashVariant, seeds: Sequence[int] | None, seed_count: int
@@ -99,21 +97,21 @@ class _Filter:
         self.hash_calls = 0
 
     @staticmethod
-    def _slices(keys: np.ndarray, size: int):
+    def _slices(keys: np.ndarray):
         keys = hashing.as_key_matrix(keys)
+        size = SLICE_KEYS
         if len(keys) <= size:
             return (keys,)
         return (keys[start : start + size] for start in range(0, len(keys), size))
 
     def insert_batch(self, keys: np.ndarray) -> None:
         """Insert every row of a ``(count, length)`` uint8 key matrix."""
-        size = SLICE_KEYS if self._insert_by_keys else max(1, SLICE_KEYS // self.hash_count)
-        for part in self._slices(keys, size):
+        for part in self._slices(keys):
             self._insert_slice(part)
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
         """One bool per row of a ``(count, length)`` uint8 key matrix."""
-        answers = [self._contains_slice(part) for part in self._slices(keys, SLICE_KEYS)]
+        answers = [self._contains_slice(part) for part in self._slices(keys)]
         return answers[0] if len(answers) == 1 else np.concatenate(answers)
 
     def _insert_slice(self, keys: np.ndarray) -> None:
@@ -152,7 +150,7 @@ class TwoDBloomFilter(_Filter):
         seeds: Sequence[int] | None = None,
     ) -> None:
         super().__init__(variant, seeds, geometry.hash_count)
-        self.geometry, self.hash_count = geometry, geometry.hash_count
+        self.geometry = geometry
         self.cells = np.zeros((geometry.rows, geometry.cols), dtype=np.uint64)
 
     @classmethod
@@ -204,20 +202,24 @@ class TwoDBloomFilter(_Filter):
         self.inserted_count = max(0, self.inserted_count - 1)
 
     def _cell_index(self, digests: np.ndarray) -> np.ndarray:
-        """Each digest's cell as an int64 index into the flattened cells:
-        ``(d mod rows) * cols + d mod cols``, below ``rows * cols``."""
-        g = self.geometry
-        index = mod_batch(digests, g.rows)
-        index *= np.uint64(g.cols)
-        index += mod_batch(digests, g.cols)
-        return index.view(np.int64)
+        """Each digest's cell, ``(d mod rows) * cols + d mod cols`` (below
+        ``rows * cols``), as an int64 index written over ``digests``."""
+        cols = np.uint64(self.geometry.cols)
+        index = mod_batch(digests, self.geometry.rows)
+        index *= cols
+        index += digests  # then minus (d // cols) * cols, wrapping mod 2**64
+        digests //= cols
+        digests *= cols
+        return np.subtract(index, digests, out=digests).view(np.int64)
 
     def _insert_slice(self, keys: np.ndarray) -> None:
         digests = fold_batch(mix_batch(keys, self.variant), self.seeds)
+        # bit numbers wait as uint8, so two (k, count) uint64 matrices peak
+        bits = mod_batch(digests, self.geometry.cell_bits).astype(np.uint8)
         index = self._cell_index(digests)
-        bits = mod_batch(digests, self.geometry.cell_bits)
-        np.left_shift(np.uint64(1), bits, out=bits)
-        np.bitwise_or.at(self.cells.reshape(-1), index.ravel(), bits.ravel())
+        words = bits.astype(np.uint64)
+        np.left_shift(np.uint64(1), words, out=words)
+        np.bitwise_or.at(self.cells.reshape(-1), index.ravel(), words.ravel())
         self.hash_calls += digests.size
         self.inserted_count += digests.shape[1]
 
@@ -239,10 +241,10 @@ class TwoDBloomFilter(_Filter):
         for seed in self.seeds:
             digests = fold_batch(blocks, seed)
             self.hash_calls += alive.size
-            word = flat[self._cell_index(digests)]
-            word >>= mod_batch(digests, self.geometry.cell_bits)
-            word &= np.uint64(1)
-            hit = word.astype(bool)
+            bit = mod_batch(digests, self.geometry.cell_bits)
+            np.right_shift(flat[self._cell_index(digests)], bit, out=bit)
+            bit &= np.uint64(1)
+            hit = bit.astype(bool)
             if not hit.all():
                 keep = np.flatnonzero(hit)
                 alive = alive.take(keep)

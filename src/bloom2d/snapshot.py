@@ -58,13 +58,14 @@ def save_filter(
         tag = _TAG_CBF
     else:
         raise TypeError(f"cannot snapshot {type(f).__name__}")
+    hash_count = f.geometry.hash_count if tag == _TAG_2D else f.hash_count
     chunks = [
         _HEADER.pack(
             MAGIC,
             VERSION,
             tag,
             int(f.variant),
-            f.hash_count,
+            hash_count,
             f.inserted_count,
         )
     ]

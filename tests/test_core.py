@@ -381,13 +381,11 @@ def test_batch_ops_match_bit_matrix_oracle_across_slices(monkeypatch):
 
 @pytest.mark.parametrize("kind", THREE_FILTERS)
 def test_multi_slice_batches_match_whole_batch_and_scalar(kind, monkeypatch):
-    """One ``insert_batch`` walked in slices of 7 keys (``SLICE_KEYS`` is
-    7k probes; the CBF inserts by keys, 7k a slice) and one
-    ``contains_batch`` walked in slices of 7k keys leave the same
-    storage, answers, ``hash_calls``, ``probe_calls`` and
-    ``inserted_count`` as the same calls made whole and as one scalar
-    call per key.  700 copies of one key span 10 or more insert slices,
-    so CBF counters saturate across slice boundaries."""
+    """One ``insert_batch`` and one ``contains_batch`` walked in slices of
+    7 keys leave the same storage, answers, ``hash_calls``,
+    ``probe_calls`` and ``inserted_count`` as the same calls made whole
+    and as one scalar call per key.  700 copies of one key span 100
+    slices, so CBF counters saturate across slice boundaries."""
     corpus = generate_corpus(1000, 23)
     copies = np.repeat(corpus.matrix[500:501], 700, axis=0)
     keys = np.concatenate([corpus.matrix[:500], copies, corpus.matrix[500:]])
@@ -397,8 +395,7 @@ def test_multi_slice_batches_match_whole_batch_and_scalar(kind, monkeypatch):
     whole.insert_batch(keys)
     answers = {"whole": whole.contains_batch(queries)}
 
-    lookup_keys = 7 * sliced.hash_count
-    monkeypatch.setattr(core, "SLICE_KEYS", lookup_keys)
+    monkeypatch.setattr(core, "SLICE_KEYS", 7)
     sizes = []
 
     def spy(hook):
@@ -411,10 +408,8 @@ def test_multi_slice_batches_match_whole_batch_and_scalar(kind, monkeypatch):
         monkeypatch.setattr(type(sliced), name, spy(getattr(type(sliced), name)))
     sliced.insert_batch(keys)
     answers["sliced"] = sliced.contains_batch(queries)
-    insert_keys = lookup_keys if kind == "cbf" else 7
-    inserts = -(-len(keys) // insert_keys)
-    assert len(sizes) == inserts + -(-len(queries) // lookup_keys)
-    assert max(sizes[:inserts]) == insert_keys and max(sizes[inserts:]) == lookup_keys
+    assert len(sizes) == -(-len(keys) // 7) + -(-len(queries) // 7)
+    assert max(sizes) == 7
 
     for row in keys:
         scalar.insert(row.tobytes())
@@ -438,14 +433,14 @@ def test_multi_slice_batches_match_whole_batch_and_scalar(kind, monkeypatch):
 @pytest.mark.parametrize("kind", THREE_FILTERS)
 @pytest.mark.parametrize("op", ["insert_batch", "contains_batch"])
 def test_multi_slice_batch_transient_memory_per_key(kind, op, monkeypatch):
-    """A call of 16 slices, or of 81 (2D) or 161 (SBF) insert slices of
-    4,096 probes, peaks at one slice's temporaries plus the answers, not
-    at the whole call's.  One unsliced call holds 120 B/key for the 2D
-    insert (three k x count uint64 matrices, k = 5), 160 for the SBF
-    insert (two, k = 10), 64-73 for a lookup and 343 for the CBF insert,
-    whose sorted probe matrix sets the larger bound.  Measured for
-    insert/lookup: 2D 1.8/5.6, SBF 1.1/5.0, CBF 25.4/5.0 B/key (numpy
-    2.4)."""
+    """A call of 16 slices peaks at one slice's temporaries plus the
+    answers, not at the whole call's.  One unsliced call holds ~110 B/key
+    for the 2D insert (the fold's block words, k = 5 digest rows and
+    their finalize temporary), 160 for the SBF insert (an index and a
+    bit-word matrix, k = 10), 80-90 for a lookup and 343 for the CBF
+    insert, whose sorted probe matrix sets the larger bound.  Measured
+    for insert/lookup: 2D 7.1/5.6, SBF 10.1/5.0, CBF 25.4/5.0 B/key
+    (numpy 2.4)."""
     monkeypatch.setattr(core, "SLICE_KEYS", 4096)
     corpus = generate_corpus(16 * 4096, 61)
     f = THREE_FILTERS[kind](len(corpus))
