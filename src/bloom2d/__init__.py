@@ -4,18 +4,16 @@ The package bundles a 2D Bloom filter whose matrix dimensions and
 per-cell bit count are primes, a family of variable-stride mixing
 hashes (H1..H9), flat standard and counting Bloom filter baselines,
 deterministic workload generation, and a benchmark CLI (``bloom2d``).
+
+Importing the package loads only the filters and their sizing.  The
+``bench``, ``workload`` and ``snapshot`` submodules, and the names
+re-exported from them, load on first attribute access (PEP 562), so a
+process that only builds filters never compiles them.
 """
 
+import importlib
+
 from .baselines import CountingBloomFilter, StandardBloomFilter
-from .bench import (
-    BenchConfig,
-    emit_report,
-    recommend_variant,
-    run_bench,
-    run_hash_selection,
-    run_insert_bench,
-    run_lookup_bench,
-)
 from .core import TwoDBloomFilter
 from .geometry import (
     FilterGeometry,
@@ -33,19 +31,47 @@ from .primes import (
     select_prime,
     sieve_primes,
 )
-from .snapshot import load_filter, save_filter
-from .workload import (
-    KeyCorpus,
-    QueryKind,
-    QuerySet,
-    generate_corpus,
-    make_query_set,
-    membership_oracle,
-    read_corpus,
-    read_query_set,
-    write_corpus,
-    write_query_set,
-)
+
+_LAZY_EXPORTS = {
+    "bench": (
+        "BenchConfig",
+        "emit_report",
+        "recommend_variant",
+        "run_bench",
+        "run_hash_selection",
+        "run_insert_bench",
+        "run_lookup_bench",
+    ),
+    "snapshot": ("load_filter", "save_filter"),
+    "workload": (
+        "KeyCorpus",
+        "QueryKind",
+        "QuerySet",
+        "generate_corpus",
+        "make_query_set",
+        "membership_oracle",
+        "read_corpus",
+        "read_query_set",
+        "write_corpus",
+        "write_query_set",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY_NAMES:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_LAZY_EXPORTS))
+
 
 __version__ = "0.1.0"
 

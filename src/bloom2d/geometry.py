@@ -35,12 +35,16 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _check_fp_target(fp_target: float) -> None:
+    if not 0.0 < fp_target < 1.0:
+        raise ValueError(f"fp_target must lie in (0, 1), got {fp_target}")
+
+
 def optimal_bits(expected_items: int, fp_target: float) -> int:
     """Classic Bloom bit budget, ceil(-n * ln(eps) / ln(2)^2)."""
     if expected_items < 1:
         raise ValueError(f"expected_items must be >= 1, got {expected_items}")
-    if not 0.0 < fp_target < 1.0:
-        raise ValueError(f"fp_target must lie in (0, 1), got {fp_target}")
+    _check_fp_target(fp_target)
     return math.ceil(-expected_items * math.log(fp_target) / math.log(2) ** 2)
 
 
@@ -89,7 +93,9 @@ class FilterGeometry:
 
 def min_supported_items(fp_target: float) -> int:
     """Smallest capacity for which :func:`derive_geometry` succeeds."""
-    floor_target = int(default_table().primes[_DIM_OFFSET - 1]) ** 2
+    _check_fp_target(fp_target)
+    # the dimension target must reach the table's third prime, 5
+    floor_target = int(default_table(5).primes[_DIM_OFFSET - 1]) ** 2
     n = max(
         1,
         math.ceil(2 * CELL_BITS * floor_target * math.log(2) ** 2 / -math.log(fp_target)),
@@ -115,14 +121,22 @@ def derive_geometry(expected_items: int, fp_target: float) -> FilterGeometry:
     (9.97 for 0.001), more than the 6.9 to 8.1 usable bits this shape
     keeps at these sizes.
 
+    The shared prime table is asked only for primes up to
+    ``min(10**7, 2*isqrt(q) + 1000)``.  No gap between primes below
+    10**7 exceeds 154, so that holds the first prime above ``sqrt(q)``
+    and the three after it: a cold process sizing 10**6 items at 0.001
+    sieves the numbers up to 1,686, not ten million.  Targets near 10**7
+    reach the full table.
+
     Raises :class:`GeometryUnderflowError` when the capacity is too small
     for the three-slot dimension offsets, naming the smallest supported
     capacity, and propagates :class:`PrimeTableExhaustedError` when the
-    dimension target outruns the table.
+    dimension target outruns the 10**7 table.
     """
-    table = default_table()
     bits = optimal_bits(expected_items, fp_target)
-    prime_index = select_prime(table, math.sqrt(bits // (2 * CELL_BITS)))
+    cells = bits // (2 * CELL_BITS)
+    table = default_table(2 * math.isqrt(cells) + 1000)
+    prime_index = select_prime(table, math.sqrt(cells))
     if prime_index < _DIM_OFFSET:
         raise GeometryUnderflowError(
             f"expected_items={expected_items} is too small for a two-dimensional "

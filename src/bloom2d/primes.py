@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +57,29 @@ class PrimeTable:
 
 
 _default_table: PrimeTable | None = None
+_default_table_lock = threading.Lock()
 
 
-def default_table() -> PrimeTable:
-    """Shared table of all primes below 10**7, built once per process."""
+def default_table(limit: int = DEFAULT_LIMIT) -> PrimeTable:
+    """Shared table holding at least every prime <= min(limit, 10**7).
+
+    One table serves the whole process.  It is re-sieved only when a
+    caller asks past what it holds, to at least twice its old limit so
+    that a run of growing requests sieves O(final limit) numbers in all,
+    and never past 10**7.  With no argument it is the full 10**7 table,
+    built once; a sizing call asks only for the primes its shape needs.
+    """
     global _default_table
-    if _default_table is None:
-        _default_table = PrimeTable.up_to(DEFAULT_LIMIT)
-    return _default_table
+    limit = min(limit, DEFAULT_LIMIT)
+    # without the lock, a caller could be handed the smaller table of a
+    # concurrent request that replaced its own
+    with _default_table_lock:
+        table = _default_table
+        if table is None or table.limit < limit:
+            if table is not None:
+                limit = min(DEFAULT_LIMIT, max(limit, 2 * table.limit))
+            table = _default_table = PrimeTable.up_to(limit)
+        return table
 
 
 def select_prime(table: PrimeTable, target: float) -> int:
@@ -72,5 +89,7 @@ def select_prime(table: PrimeTable, target: float) -> int:
         raise PrimeTableExhaustedError(
             f"prime table with limit {table.limit} has no prime above {target}"
         )
-    return int(np.searchsorted(primes, target, side="right"))
+    # a prime exceeds target iff it exceeds floor(target); an integer
+    # needle keeps numpy from casting the whole table to float64
+    return int(np.searchsorted(primes, math.floor(target), side="right"))
 

@@ -130,19 +130,57 @@ class TestErrorExits:
         assert exit_info.value.code != 0
 
 
-def test_module_entry_point():
+def _run_child(*args):
     # the child imports the same package as this process, whether that came
     # from an install, PYTHONPATH or pytest's own ``pythonpath`` setting
     package_root = str(Path(bloom2d.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "bloom2d", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    result = _run_child("-m", "bloom2d", "--help")
     assert result.returncode == 0
     assert "bench" in result.stdout
     assert "hash-select" in result.stdout
     assert "generate" in result.stdout
+
+
+LEAN_IMPORT_CHILD = """
+import json, sys
+import bloom2d
+report = {"loaded": sorted(m for m in ("bench", "workload", "snapshot", "cli")
+                           if "bloom2d." + m in sys.modules)}
+namespace = {}
+exec("from bloom2d import *", namespace)
+report["star_missing"] = sorted(set(bloom2d.__all__) - set(namespace))
+report["misplaced"] = []
+for name in bloom2d.__all__:
+    value = getattr(bloom2d, name)
+    home = value.__module__
+    if not home.startswith("bloom2d.") or getattr(sys.modules[home], name) is not value:
+        report["misplaced"].append(name)
+try:
+    bloom2d.no_such_name
+except AttributeError as err:
+    report["unknown"] = str(err)
+report["submodules"] = [bloom2d.snapshot.__name__, bloom2d.workload.__name__, bloom2d.bench.__name__]
+print(json.dumps(report))
+"""
+
+
+def test_package_import_defers_bench_workload_snapshot():
+    result = _run_child("-c", LEAN_IMPORT_CHILD)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["loaded"] == []
+    assert report["misplaced"] == []
+    assert report["star_missing"] == []
+    assert report["unknown"] == "module 'bloom2d' has no attribute 'no_such_name'"
+    assert report["submodules"] == ["bloom2d.snapshot", "bloom2d.workload", "bloom2d.bench"]

@@ -1,7 +1,11 @@
 """Sizing formulas and the prime X-by-Y shape derivation."""
 
+import math
+
 import pytest
 
+from bloom2d import primes
+from bloom2d.core import TwoDBloomFilter
 from bloom2d.geometry import (
     CELL_BITS,
     CELL_WIDTH,
@@ -12,7 +16,7 @@ from bloom2d.geometry import (
     optimal_bits,
     optimal_hash_count,
 )
-from bloom2d.primes import PrimeTableExhaustedError
+from bloom2d.primes import PrimeTable, PrimeTableExhaustedError, select_prime
 
 from test_primes import trial_division_is_prime
 
@@ -105,6 +109,11 @@ class TestDeriveGeometry:
         with pytest.raises(GeometryUnderflowError):
             derive_geometry(floor - 1, 0.001)
 
+    @pytest.mark.parametrize("bad_eps", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_min_supported_items_rejects_bad_fp_target(self, bad_eps):
+        with pytest.raises(ValueError, match=r"fp_target must lie in \(0, 1\)"):
+            min_supported_items(bad_eps)
+
     def test_table_exhaustion_propagates(self):
         # dimension target 3.4e7, past the table's last prime 9,999,991
         with pytest.raises(PrimeTableExhaustedError, match="no prime above"):
@@ -113,6 +122,76 @@ class TestDeriveGeometry:
         # from the table's end, so no prime lies three slots above it
         with pytest.raises(PrimeTableExhaustedError, match="cannot place a dimension"):
             derive_geometry(848_537_310_177_106, 0.001)
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """Empty the shared prime table for one test, as in a fresh process."""
+    monkeypatch.setattr(primes, "_default_table", None)
+
+
+@pytest.fixture(scope="module")
+def full_table():
+    return PrimeTable.up_to(10**7)
+
+
+def reference_shape(table, expected_items, fp_target):
+    """The shape read off the whole 10**7 table, or the error it meets."""
+    bits = optimal_bits(expected_items, fp_target)
+    try:
+        index = select_prime(table, math.sqrt(bits // (2 * CELL_BITS)))
+    except PrimeTableExhaustedError:
+        return PrimeTableExhaustedError
+    if index < 3:
+        return GeometryUnderflowError
+    if index + 3 >= len(table):
+        return PrimeTableExhaustedError
+    half = max(1, math.floor(optimal_hash_count(bits, expected_items) / 2 + 0.5))
+    return (int(table.primes[index + 3]), int(table.primes[index - 3]), CELL_BITS, half)
+
+
+def derived_shape(expected_items, fp_target):
+    try:
+        g = derive_geometry(expected_items, fp_target)
+    except (GeometryUnderflowError, PrimeTableExhaustedError) as err:
+        return type(err)
+    return (g.rows, g.cols, g.cell_bits, g.hash_count)
+
+
+def capacity_where_bound_is_full(fp_target):
+    """Smallest n whose table bound 2*isqrt(q) + 1000 reaches 10**7."""
+    low, high = 1, 10**16
+    while low < high:
+        mid = (low + high) // 2
+        q = optimal_bits(mid, fp_target) // (2 * CELL_BITS)
+        if 2 * math.isqrt(q) + 1000 >= 10**7:
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
+class TestSizingPrimeTable:
+    @pytest.mark.parametrize("fp_target", [0.1, 0.01, 0.001])
+    def test_shapes_match_the_full_table(self, cold_table, full_table, fp_target):
+        floor = min_supported_items(fp_target)
+        dense = range(floor, floor + 2_001)
+        grid = {round(floor * 1.02**step) for step in range(2_000)}
+        grid = {n for n in grid if n <= 10**16}
+        edge = capacity_where_bound_is_full(fp_target)
+        assert 10**14 < edge < 10**15  # about 2e14 at 0.001
+        around = range(edge - 50, edge + 50)
+        assert min(grid) < edge < max(grid)
+        for n in [*dense, *sorted(grid), *around]:
+            assert derived_shape(n, fp_target) == reference_shape(full_table, n, fp_target), n
+
+    def test_sizing_sieves_only_the_primes_it_needs(self, cold_table):
+        derive_geometry(10**6, 0.001)
+        TwoDBloomFilter.for_capacity(10**6, 0.001)
+        assert min_supported_items(0.001) == 213
+        table = primes.default_table(1)
+        assert int(table.primes[-1]) < 2_000
+        assert table.limit < 2_000
 
 
 class TestGeometryInvariants:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bloom2d import primes
 from bloom2d.primes import (
     PrimeTable,
     PrimeTableExhaustedError,
@@ -53,6 +54,19 @@ def test_default_table_covers_ten_million():
     assert int(table.primes[-1]) == 9_999_991  # largest prime below 10**7
     assert np.all(np.diff(table.primes) > 0)
     assert default_table() is table  # built once per process
+
+
+def test_default_table_grows_only_when_asked_past_its_limit(monkeypatch):
+    monkeypatch.setattr(primes, "_default_table", None)
+    small = default_table(100)
+    assert small.limit == 100 and int(small.primes[-1]) == 97
+    assert default_table(50) is small  # a larger table serves smaller asks
+    grown = default_table(150)
+    assert grown.limit == 200  # at least doubles, so growth is amortised
+    assert grown.primes.tolist() == sieve_primes(200).tolist()
+    full = default_table(10**9)
+    assert full.limit == 10_000_000  # never past 10**7
+    assert default_table() is full
 
 
 class TestSelectPrime:
