@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the three filters across corpus sizes and emit one report per run.
 
+Each printed line puts a filter's logical memory (``memory_bits`` per key,
+as the report has it) next to its physical storage: the bytes of the
+numpy array it keeps its bits, words or counters in, per key.
+
 Desk-scale example (seconds):
 
     python scripts/run_comparison.py --out-dir results/
@@ -14,9 +18,16 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bloom2d.bench import FILTER_KINDS, BenchConfig, emit_report, run_bench
+from bloom2d.bench import FILTER_KINDS, BenchConfig, build_filter, emit_report, run_bench
+
+
+def storage_bits(filt) -> int:
+    """Bits of the numpy arrays a filter holds as attributes."""
+    return 8 * sum(a.nbytes for a in vars(filt).values() if isinstance(a, np.ndarray))
 
 
 def main() -> int:
@@ -45,9 +56,12 @@ def main() -> int:
             emit_report(report, args.format, path)
             rows = {row["workload"]: row for row in report["rows"]}
             insert = rows["insert"]
+            physical = storage_bits(build_filter(config))
             print(
                 f"{kind:9s} n={n:>10,}  insert {insert['mops']:6.2f} MOPS  "
                 f"mem {insert['memory_bits']:>12,} bits  "
+                f"bits/key {insert['memory_bits'] / n:6.2f} logical "
+                f"{physical / n:6.2f} physical  "
                 + "  ".join(
                     f"{w}:fpp={rows[w]['fpp']:.6f}"
                     for w in ("mixed", "disjoint", "random")

@@ -13,7 +13,8 @@ assigned to ``cells`` is the one the next call uses.
 Deletion caveat: bits are shared, so removing a key that collides with
 another inserted key on some probe can introduce a false negative for
 the other key.  Callers that need safe deletion under collisions should
-use :class:`~bloom2d.baselines.CountingBloomFilter` instead.
+use :class:`~bloom2d.baselines.CountingBloomFilter` instead, whose
+``remove`` is safe for keys that were inserted.
 
 Batch calls walk the key matrix in row slices of at most
 :data:`SLICE_KEYS` keys, so the temporaries of one call stay the size of

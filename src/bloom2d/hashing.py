@@ -246,9 +246,11 @@ def fold_batch(blocks: KeyBlocks, seeds: int | Sequence[int]) -> np.ndarray:
     for k in words:
         h ^= k
         h *= mult
-    h ^= h >> shift
+    # both finalize shifts go through one scratch array the size of h
+    scratch = np.right_shift(h, shift)
+    h ^= scratch
     h *= mult
-    h ^= h >> shift
+    h ^= np.right_shift(h, shift, out=scratch)
     return h
 
 

@@ -15,7 +15,9 @@ followed by a type-specific block:
     tag 1: rows I, cols I, cell_width B, cell_bits B, seeds k*Q,
            cells as raw <u8 words, row-major; cell_width is always 64
     tag 2: bits Q, seeds 2*Q, words as raw <u8
-    tag 3: counters Q, seeds 2*Q, counters as raw u1
+    tag 3: counters Q, seeds 2*Q, counters as raw u1, one byte each
+           (the filter holds them two per byte; save unpacks them and
+           load checks every byte is at most 15, then packs them)
 
 Round-trips are bit-exact.  Loading checks the length against the
 header, the shape's invariants and that the payload is a state some
@@ -145,9 +147,12 @@ def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFi
         else:
             _check_length(raw, offset + bits, path)
             f = CountingBloomFilter.from_shape(bits, hash_count, variant, seeds)
-            f.counters[:] = np.frombuffer(raw, dtype=np.uint8, count=bits, offset=offset)
-            if f.counters.max() > f.COUNTER_MAX:
+            counters = np.frombuffer(raw, dtype=np.uint8, count=bits, offset=offset)
+            if counters.max() > f.COUNTER_MAX:
                 raise ValueError(f"{path} holds a counter above {f.COUNTER_MAX}")
+            # two per byte: even counters in the low nibbles, odd in the high
+            f.nibbles[:] = counters[0::2]
+            f.nibbles[: bits // 2] |= counters[1::2] << 4
     else:
         raise ValueError(f"unknown snapshot type tag {tag}")
     f.inserted_count = inserted

@@ -1,6 +1,9 @@
 """Flat Bloom filter and counting Bloom filter baselines."""
 
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,6 +101,22 @@ class TestCountingBloomFilter:
     @example(key=b"")
     def test_positions_follow_double_hashing(self, key):
         assert_positions_follow_double_hashing(CountingBloomFilter(1000, 0.01), key)
+
+    def test_remove_of_a_key_never_inserted_can_cause_a_false_negative(self):
+        # the documented precondition of remove: b"x569" never went in,
+        # but its probes share a counter with b"a"'s, which it empties
+        f = CountingBloomFilter(1000, 0.01)
+        f.insert(b"a")
+        assert set(f._positions(b"a")) & set(f._positions(b"x569"))
+        f.remove(b"x569")
+        assert not f.contains(b"a")
+
+    def test_counters_view_is_read_only(self):
+        f = CountingBloomFilter(1000, 0.01)
+        f.insert(b"needle")
+        with pytest.raises(ValueError):
+            f.counters[f._positions(b"needle")[0]] = 0
+        assert f.contains(b"needle")
 
     def test_insert_remove_round_trip(self):
         f = CountingBloomFilter(1000, 0.01)
@@ -310,12 +329,81 @@ def test_batch_ops_match_double_hashing_oracle_across_slices(kind, monkeypatch):
     monkeypatch.setattr(core, "SLICE_KEYS", 3)
     test_batch_ops_match_double_hashing_oracle(kind=kind)
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_counters_match_oracle_scalar_path_and_snapshot(data):
+    """The nibble-packed CBF at odd and even m, from 1 to 257 counters:
+    a random script of scalar inserts, batch inserts (keys repeated up
+    to 20 times, so counters saturate inside a batch), scalar removes
+    and lookups, with batches walked 3 keys at a time, leaves the
+    oracle's counters, a zero spare nibble, and the answers,
+    ``hash_calls`` and ``probe_calls`` of the same script run one
+    scalar call per key.  Its snapshot round-trips byte for byte, and
+    one whose last counter reads 16 is rejected before it is packed."""
+    bits = data.draw(st.integers(1, 257), label="bits")
+    hash_count = data.draw(st.integers(1, min(bits, 6)), label="hash_count")
+    f = CountingBloomFilter.from_shape(bits, hash_count)
+    scalar = CountingBloomFilter.from_shape(bits, hash_count)
+    oracle = DoubleHashingOracle(bits, hash_count, f.variant, f.seeds, counting=True)
+    length = data.draw(st.integers(0, 9), label="length")
+    pool = data.draw(
+        st.lists(st.binary(min_size=length, max_size=length), min_size=1, max_size=6, unique=True)
+    )
+    actions = ["insert", "insert_batch", "remove", "lookup", "contains_batch"]
+    with mock.patch.object(core, "SLICE_KEYS", 3):
+        for _ in range(data.draw(st.integers(1, 12))):
+            action = data.draw(st.sampled_from(actions))
+            picks = data.draw(
+                st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 20)), max_size=4)
+            )
+            batch = [key for key, copies in picks for _ in range(copies)]
+            if action == "contains_batch":
+                answers = f.contains_batch(key_matrix(batch, length))
+                assert answers.tolist() == [scalar.contains(key) for key in batch]
+                assert answers.tolist() == [oracle.lookup(key) for key in batch]
+            elif action == "lookup":
+                for key in batch:
+                    assert f.contains(key) == scalar.contains(key) == oracle.lookup(key)
+            elif action == "insert_batch":
+                f.insert_batch(key_matrix(batch, length))
+                for key in batch:
+                    scalar.insert(key)
+                    oracle.insert(key)
+            else:
+                for key in batch:
+                    for target in (f, scalar, oracle):
+                        getattr(target, action)(key)
+    assert f.counters.tolist() == scalar.counters.tolist() == oracle.slots
+    assert np.array_equal(f.nibbles, scalar.nibbles)
+    assert f.nibbles.size == (bits + 1) // 2
+    if bits % 2:
+        assert f.nibbles[-1] >> 4 == 0  # the spare nibble
+    assert (f.hash_calls, f.probe_calls) == (scalar.hash_calls, scalar.probe_calls)
+    # keys of the same length outside the pool, mostly absent: a lookup
+    # that read its counter's neighbour nibble would answer some of them
+    others = sorted({i.to_bytes(length, "little") for i in range(64) if i < 256**length})
+    answers = f.contains_batch(key_matrix(others, length))
+    assert answers.tolist() == [oracle.lookup(key) for key in others]
+    assert answers.tolist() == [f.contains(key) for key in others]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cbf.snap"
+        f.save(path)
+        raw = path.read_bytes()
+        assert raw[-bits:] == f.counters.tobytes()  # one byte per counter on disk
+        CountingBloomFilter.load(path).save(path)
+        assert path.read_bytes() == raw
+        path.write_bytes(raw[:-1] + bytes([16]))
+        with pytest.raises(ValueError):
+            CountingBloomFilter.load(path)
+
+
 @pytest.mark.parametrize("cls", [StandardBloomFilter, CountingBloomFilter], ids=["sbf", "cbf"])
 def test_from_shape_builds_the_shape_it_is_given(cls):
     f = cls.from_shape(1000, 7, seeds=[3, 4])
     assert (f.bits, f.hash_count, f.seeds) == (1000, 7, (3, 4))
     storage = [a for a in vars(f).values() if isinstance(a, np.ndarray)]
-    assert [a.size for a in storage] == [16 if cls is StandardBloomFilter else 1000]
+    # 1,000 bits in 16 words, or 1,000 four-bit counters two per byte
+    assert [a.size for a in storage] == [16 if cls is StandardBloomFilter else 500]
     assert not storage[0].any()
     assert cls.from_shape(5, 5).hash_count == 5  # hash_count == bits is valid
     f.insert(b"needle")

@@ -1,5 +1,6 @@
 """Two-dimensional filter: addressing, operations, batch equivalence."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -574,6 +575,38 @@ class TestMemoryAccounting:
     def test_reference_bits_per_element(self):
         g = derive_geometry(10_000_000, 0.001)
         assert round(g.memory_bits / 10_000_000, 2) == 7.45
+
+
+@pytest.mark.parametrize("kind", THREE_FILTERS)
+def test_storage_matches_memory_bits(kind):
+    """Each filter holds one storage array, the one ``memory_bits``
+    describes: the 2D cells exactly, the CBF's nibbles up to the spare
+    nibble of an odd m, the SBF's words up to the padding of the last
+    word.  By tracemalloc, a filter built and filled by ``insert_batch``
+    holds little besides that array, so a filter that starts keeping
+    per-instance caches fails here before it moves perfbench's
+    ``bits_per_key``."""
+    corpus = generate_corpus(20_000, 67)
+    make = THREE_FILTERS[kind]
+    make(len(corpus)).insert_batch(corpus.matrix[:10])  # prime table, numpy caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f = make(len(corpus))
+        f.insert_batch(corpus.matrix)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    (storage,) = [a for a in vars(f).values() if isinstance(a, np.ndarray)]
+    physical = storage.nbytes * 8
+    if kind == "robustbf":
+        assert physical == f.memory_bits()
+    elif kind == "cbf":
+        assert f.memory_bits() == 4 * f.bits
+        assert physical == 8 * ((f.bits + 1) // 2)
+    else:
+        assert 0 <= physical - f.memory_bits() < 64
+    assert storage.nbytes <= held < storage.nbytes + 4096
 
 
 class TestSeedValidation:

@@ -350,7 +350,7 @@ def test_reloaded_filter_scalar_ops_match_original(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind,field", [
-    ("robustbf", "cells"), ("sbf", "words"), ("cbf", "counters"),
+    ("robustbf", "cells"), ("sbf", "words"), ("cbf", "nibbles"),
 ])
 def test_scalar_ops_write_a_reassigned_array(kind, field):
     f = small_filters()[kind]
