@@ -14,7 +14,9 @@ quotient, ``g - (g // m) * m`` (:func:`~bloom2d.core.mod_batch`), the
 same value.  Lookups derive a position only for keys still alive, so
 they stop at a key's first empty slot.  A batch insert holds one slice's
 k x count position matrix (see :mod:`bloom2d.core`): the standard filter
-ORs it in at once, the counting filter sorts it for its saturating add.
+ORs it in at once; the counting filter casts it to the narrowest unsigned
+dtype that holds m - 1 (uint32 up to m = 2^32) and sorts that for its
+saturating add.
 
 Storage is bits packed 64 to a ``uint64`` word (standard filter) or
 four-bit counters packed two to a byte (counting filter), so each
@@ -59,7 +61,7 @@ _INCREMENT = tuple(_step_table(mask, 1) for mask in _NIBBLE)
 _DECREMENT = tuple(_step_table(mask, -1) for mask in _NIBBLE)
 # ufunc operands of the nibble paths' own dtypes: a Python int operand
 # costs each call a conversion, ~1 us of the ~15 us a 4,096-key probe takes
-_ONE64, _ONE8, _TWO8, _LOW8 = np.uint64(1), np.uint8(1), np.uint8(2), np.uint8(0x0F)
+_ONE8, _FOUR8, _LOW8 = np.uint8(1), np.uint8(4), np.uint8(0x0F)
 
 
 class _DoubleHashingFilter(_Filter):
@@ -244,12 +246,32 @@ class CountingBloomFilter(_DoubleHashingFilter):
     @property
     def counters(self) -> np.ndarray:
         """One byte per counter, unpacked from ``nibbles`` on each access
-        (about ``2 * bits`` bytes of temporaries); read-only, writes go
-        through the filter's operations."""
-        nibbles = self.nibbles
-        out = np.stack((nibbles & 0x0F, nibbles >> 4), axis=1).reshape(-1)[: self.bits]
+        into a fresh array (and about ``bits`` bytes of temporaries);
+        read-only, writes go through the filter's operations."""
+        # each byte widened to a little-endian uint16 whose low byte keeps
+        # the low nibble and whose high byte takes the high one; not a
+        # stack of two nibble arrays, 0.30 against 0.60 ms per 1.15M counters
+        w = self.nibbles.astype("<u2")
+        high = np.multiply(w, 16)
+        high &= 0x0F00
+        w &= 0x0F
+        w |= high
+        out = w.view(np.uint8)[: self.bits]
         out.flags.writeable = False
         return out
+
+    def _load_counters(self, counters: np.ndarray) -> None:
+        """Pack ``counters``, one uint8 per counter and each at most 15,
+        into ``nibbles``: the inverse of :attr:`counters`."""
+        # each counter pair read as one little-endian uint16, the spare
+        # counter of an odd ``bits`` 0; not two strided reads and a uint8
+        # ``<< 4``, 0.46 against 0.93 ms per 1.15M counters
+        w = np.zeros(self.nibbles.size, dtype="<u2")
+        w.view(np.uint8)[: self.bits] = counters
+        high = w >> 4
+        high &= 0xF0
+        w &= 0x0F
+        np.bitwise_or(w, high, out=self.nibbles, casting="unsafe")
 
     def insert(self, key: bytes) -> None:
         nibbles = memoryview(self.nibbles)
@@ -289,8 +311,13 @@ class CountingBloomFilter(_DoubleHashingFilter):
     def _insert_slice(self, keys: np.ndarray) -> None:
         positions = self._position_matrix(keys)
         # one saturating add per slice: each position's increments are
-        # counted in int64 first, so no number of repeats wraps a counter
-        idx, n = np.unique(positions.ravel(), return_counts=True)
+        # counted in int64 first, so no number of repeats wraps a counter.
+        # Every position is below m, so the cast to the narrowest unsigned
+        # dtype that holds m - 1 is exact; np.unique of 655,360 positions
+        # took 9.2 ms as uint32, cast included, against 11.9 ms as uint64
+        idx, n = np.unique(
+            positions.astype(np.min_scalar_type(self.bits - 1)), return_counts=True
+        )
         byte, shift, cur = self._counters_at(idx)
         # delta = min(cur + n, 15) - cur stays inside its own nibble, so
         # adding it shifted never carries into the neighbour counter, and
@@ -306,13 +333,22 @@ class CountingBloomFilter(_DoubleHashingFilter):
         self.inserted_count += positions.shape[1]
 
     def _counters_at(self, pos: np.ndarray):
-        """For uint64 counter positions: each one's byte, ``pos >> 1``, as
-        an int64 view written over ``pos``, its nibble's shift (0 or 4) and
-        its counter, both uint8."""
+        """For counter positions of any unsigned dtype (the insert's
+        narrow one, the lookup's uint64): each one's byte, ``pos >> 1``,
+        written over ``pos`` (an int64 view of uint64), its nibble's shift
+        (0 or 4) and its counter, both uint8."""
         shift = pos.astype(np.uint8)  # the low byte holds the parity
         np.bitwise_and(shift, _ONE8, out=shift)
-        np.left_shift(shift, _TWO8, out=shift)
-        byte = np.right_shift(pos, _ONE64, out=pos).view(np.int64)
+        # times 4, not << 2: a uint8 left shift by a scalar is numpy's slow
+        # path, 43 us against 4 us for the multiply at 65,536 positions
+        np.multiply(shift, _FOUR8, out=shift)
+        # by a Python int, which takes pos's own dtype: np.uint64(1) ran a
+        # uint32 pos through the uint64 loop, 4 us against 1 us at 4,096
+        byte = np.right_shift(pos, 1, out=pos)
+        if byte.dtype == np.uint64:
+            # below 2^63, so the int64 view is the same index, and take
+            # reads intp indices without a cast: 8 against 10 us at 4,096
+            byte = byte.view(np.int64)
         value = self.nibbles.take(byte)
         np.right_shift(value, shift, out=value)
         np.bitwise_and(value, _LOW8, out=value)

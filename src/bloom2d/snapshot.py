@@ -150,9 +150,7 @@ def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFi
             counters = np.frombuffer(raw, dtype=np.uint8, count=bits, offset=offset)
             if counters.max() > f.COUNTER_MAX:
                 raise ValueError(f"{path} holds a counter above {f.COUNTER_MAX}")
-            # two per byte: even counters in the low nibbles, odd in the high
-            f.nibbles[:] = counters[0::2]
-            f.nibbles[: bits // 2] |= counters[1::2] << 4
+            f._load_counters(counters)
     else:
         raise ValueError(f"unknown snapshot type tag {tag}")
     f.inserted_count = inserted

@@ -397,6 +397,48 @@ def test_packed_counters_match_oracle_scalar_path_and_snapshot(data):
             CountingBloomFilter.load(path)
 
 
+def _key_probing_last_counter(oracle):
+    """The first 8-byte key one of whose probes is counter ``bits - 1``,
+    the largest position the insert's sorted dtype must hold."""
+    for i in range(1_000_000):
+        key = i.to_bytes(8, "little")
+        if oracle.bits - 1 in oracle._positions(key):
+            return key
+    raise AssertionError("no key probes the last counter")
+
+
+@pytest.mark.parametrize("slice_keys", [3, core.SLICE_KEYS], ids=["slices-of-3", "whole"])
+@pytest.mark.parametrize("copies", [16, 300])
+@pytest.mark.parametrize("bits", [255, 256, 257, 65_535, 65_536, 65_537])
+def test_packed_counters_at_position_dtype_boundaries(bits, copies, slice_keys):
+    """Either side of the m where the insert's sorted positions widen,
+    uint8 -> uint16 (m = 256 -> 257) and uint16 -> uint32 (65,536 ->
+    65,537): a batch of ``copies`` copies of one key that probes counter
+    m - 1, then 200 distinct keys, saturates that key's counters, where
+    300 increments held in a uint8 would wrap.  The packed counters, the
+    answers, ``hash_calls`` and ``probe_calls`` equal the same keys
+    inserted one scalar call each, and the oracle's."""
+    hash_count = 7
+    f = CountingBloomFilter.from_shape(bits, hash_count)
+    scalar = CountingBloomFilter.from_shape(bits, hash_count)
+    oracle = DoubleHashingOracle(bits, hash_count, f.variant, f.seeds, counting=True)
+    top = _key_probing_last_counter(oracle)
+    batch = [top] * copies + [(10**6 + i).to_bytes(8, "little") for i in range(200)]
+    with mock.patch.object(core, "SLICE_KEYS", slice_keys):
+        f.insert_batch(key_matrix(batch, 8))
+        for key in batch:
+            scalar.insert(key)
+            oracle.insert(key)
+        queries = batch[copies - 1 :] + [(2 * 10**6 + i).to_bytes(8, "little") for i in range(64)]
+        answers = f.contains_batch(key_matrix(queries, 8)).tolist()
+    assert answers == [scalar.contains(key) for key in queries]
+    assert answers == [oracle.lookup(key) for key in queries]
+    assert oracle.slots[bits - 1] == f.COUNTER_MAX
+    assert np.array_equal(f.nibbles, scalar.nibbles)
+    assert f.counters.tolist() == scalar.counters.tolist() == oracle.slots
+    assert (f.hash_calls, f.probe_calls) == (scalar.hash_calls, scalar.probe_calls)
+
+
 @pytest.mark.parametrize("cls", [StandardBloomFilter, CountingBloomFilter], ids=["sbf", "cbf"])
 def test_from_shape_builds_the_shape_it_is_given(cls):
     f = cls.from_shape(1000, 7, seeds=[3, 4])
