@@ -14,9 +14,9 @@ quotient, ``g - (g // m) * m`` (:func:`~bloom2d.core.mod_batch`), the
 same value.  Lookups derive a position only for keys still alive, so
 they stop at a key's first empty slot.  A batch insert holds one slice's
 k x count position matrix (see :mod:`bloom2d.core`): the standard filter
-ORs it in at once; the counting filter casts it to the narrowest unsigned
-dtype that holds m - 1 (uint32 up to m = 2^32) and sorts that for its
-saturating add.
+sets its bits with :func:`~bloom2d.core.set_bits`, as the 2D filter does;
+the counting filter casts it to the narrowest unsigned dtype that holds
+m - 1 (uint32 up to m = 2^32) and sorts that for its saturating add.
 
 Storage is bits packed 64 to a ``uint64`` word (standard filter) or
 four-bit counters packed two to a byte (counting filter), so each
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _Filter, mod_batch
+from .core import _Filter, mod_batch, set_bits
 from .geometry import optimal_bits, optimal_hash_count
 from .hashing import HashVariant, fold_batch, hash_key_seeds, mix_batch
 
@@ -197,12 +197,7 @@ class StandardBloomFilter(_DoubleHashingFilter):
 
     def _insert_slice(self, keys: np.ndarray) -> None:
         positions = self._position_matrix(keys)
-        idx = (positions >> np.uint64(6)).view(np.int64)
-        positions &= np.uint64(63)
-        # in place: ``np.uint64(1) << (pos & 63)`` ran ~10x slower at
-        # 65,536 keys, a scalar left of a temporary above 256 KiB
-        np.left_shift(np.uint64(1), positions, out=positions)
-        np.bitwise_or.at(self.words, idx.ravel(), positions.ravel())
+        set_bits(self.words, positions)  # position p is bit p & 63 of word p >> 6
         self.probe_calls += positions.size
         self.inserted_count += positions.shape[1]
 

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from bloom2d import core
 from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
-from bloom2d.core import TwoDBloomFilter, mod_batch
+from bloom2d.core import TwoDBloomFilter, mod_batch, set_bits
 from bloom2d.geometry import FilterGeometry, derive_geometry
 from bloom2d.hashing import HashVariant, derive_seeds, hash_key
 from bloom2d.workload import generate_corpus, make_query_set
 from reference_oracle import (
     BitMatrixOracle,
+    DoubleHashingOracle,
     cell_address,
     designed_fpp,
     fpp_bound,
@@ -85,6 +87,166 @@ def test_mod_batch_equals_remainder(m, digests):
     assert mod_batch(x, m, out=out) is out
     assert out.tolist() == expected
     assert x.tolist() == values  # the input is left as it was
+
+
+class CountingMaximum:
+    """Counts ``np.maximum.at`` calls, one per ``set_bits`` round, while
+    :meth:`patched` stands in for ``numpy`` inside ``bloom2d.core``."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def at(self, *args) -> None:
+        self.calls += 1
+        np.maximum.at(*args)
+
+    def patched(self):
+        counter = self
+
+        class Numpy:
+            maximum = counter
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        return mock.patch.object(core, "np", Numpy())
+
+
+@st.composite
+def set_bits_cases(draw):
+    """Initial words, and (word, bit) probes drawn from a pool of at most
+    24, so that most calls repeat probes and contest bytes."""
+    words = draw(st.integers(1, 5))
+    word = st.sampled_from([0, 2**64 - 1, 0x5555_5555_5555_5555]) | st.integers(0, 2**64 - 1)
+    fill = draw(st.lists(word, min_size=words, max_size=words))
+    probe = st.tuples(st.integers(0, words - 1), st.integers(0, 63))
+    pool = draw(st.lists(probe, min_size=1, max_size=24))
+    return fill, draw(st.lists(st.sampled_from(pool), max_size=300))
+
+
+@pytest.mark.parametrize("order", ["<u8", ">u8"], ids=["little-endian", "big-endian"])
+@settings(max_examples=150, deadline=None)
+@given(case=set_bits_cases())
+@example(case=([0, 0], [(1, b) for b in range(8, 16)] * 3))  # all 8 bits of one byte
+@example(case=([0, 0, 0], [(2, b) for b in range(63, 55, -1)] + [(0, 63)]))  # the last byte
+@example(case=([0], []))  # an empty call
+@example(case=([2**64 - 1, 0x5555_5555_5555_5555, 1 << 63],  # pre-filled
+               [(w, b) for w in range(3) for b in range(0, 64, 3)]))
+def test_set_bits_equals_or_at(order, case):
+    """``set_bits`` leaves the words ``np.bitwise_or.at`` of one-bit
+    words would, on zero and pre-filled arrays, for repeated probes and
+    bytes that several probes' different bits share, in at most 8
+    ``np.maximum.at`` rounds and none for an empty call.  The ``>u8``
+    array checks the big-endian byte mapping on any host."""
+    fill, probes = case
+    word = np.array([w for w, _ in probes], dtype=np.int64)
+    bit = np.array([b for _, b in probes], dtype=np.uint64)
+    expected = np.array(fill, dtype=np.uint64)
+    np.bitwise_or.at(expected, word, np.left_shift(np.uint64(1), bit))
+    words = np.array(fill, dtype=order)
+    pos = word.astype(np.uint64) * np.uint64(64) + bit
+    rounds = CountingMaximum()
+    with rounds.patched():
+        set_bits(words, pos)
+    assert words.dtype == np.dtype(order)
+    assert words.tolist() == expected.tolist()
+    assert (rounds.calls == 0) == (not probes)
+    assert rounds.calls <= 8
+
+
+@pytest.mark.parametrize("order", ["<u8", ">u8"], ids=["little-endian", "big-endian"])
+def test_set_bits_takes_eight_rounds_for_eight_bits_of_one_byte(order):
+    """Probes for all 8 bits of one clear byte: each round sets only the
+    highest bit still clear, so the call takes exactly 8 rounds, and
+    sets no bit of the neighbouring bytes."""
+    words = np.zeros(2, dtype=order)
+    rounds = CountingMaximum()
+    with rounds.patched():
+        set_bits(words, np.arange(64 + 16, 64 + 24, dtype=np.uint64))
+    assert rounds.calls == 8
+    assert words.tolist() == [0, 0xFF << 16]
+
+
+# Tiny 2D shapes of a few 61-bit cells: a batch of a few hundred keys puts
+# many probes with different bits on every byte of the cells.
+CONTESTED_SHAPES = [
+    FilterGeometry(rows=2, cols=3, cell_bits=61, hash_count=5),
+    FilterGeometry(rows=3, cols=5, cell_bits=61, hash_count=3),
+    FilterGeometry(rows=5, cols=2, cell_bits=61, hash_count=7),
+]
+
+
+def _contested_batches(distinct: int):
+    """Two batches of 8-byte keys: 300 copies of one key among
+    ``distinct`` others, then ``distinct`` more keys and the copied key
+    again; plus queries of those keys and 200 never inserted."""
+    def key(i):
+        return i.to_bytes(8, "little")
+
+    first = [key(1 + i) for i in range(distinct)]
+    first[distinct // 2 : distinct // 2] = [key(0)] * 300
+    second = [key(10_000 + i) for i in range(distinct)] + [key(0)]
+    queries = first[:1] + [key(0)] + second + [key(20_000 + i) for i in range(200)]
+    return [first, second], queries
+
+
+@pytest.mark.parametrize("slice_keys", [3, 65_536], ids=["slices-of-3", "whole"])
+@pytest.mark.parametrize("geometry", CONTESTED_SHAPES,
+                         ids=lambda g: f"{g.rows}x{g.cols}-k{g.hash_count}")
+def test_contested_bytes_2d_match_scalar_and_oracle(geometry, slice_keys, monkeypatch):
+    """Batch inserts whose probes contest every byte of a few cells leave
+    the cells, answers, ``hash_calls`` and ``inserted_count`` of one
+    scalar insert per key and of the bit-matrix oracle; whole, a batch
+    takes more than one ``set_bits`` round."""
+    monkeypatch.setattr(core, "SLICE_KEYS", slice_keys)
+    distinct = geometry.rows * geometry.cols * 61 // (2 * geometry.hash_count)
+    batches, queries = _contested_batches(distinct)
+    f, scalar = TwoDBloomFilter(geometry), TwoDBloomFilter(geometry)
+    oracle = BitMatrixOracle(geometry, f.variant, f.seeds)
+    for batch in batches:
+        rounds = CountingMaximum()
+        with rounds.patched():
+            f.insert_batch(key_matrix(batch, 8))
+        assert rounds.calls > 1 or slice_keys == 3
+        for key in batch:
+            scalar.insert(key)
+            oracle.insert(key)
+    assert f.cells.tolist() == scalar.cells.tolist() == oracle.cells
+    assert 0 < np.unpackbits(f.cells.view(np.uint8)).mean() < 61 / 64
+    answers = f.contains_batch(key_matrix(queries, 8)).tolist()
+    assert answers == [scalar.contains(key) for key in queries]
+    assert answers == [oracle.lookup(key) for key in queries]
+    assert (f.hash_calls, f.inserted_count) == (scalar.hash_calls, scalar.inserted_count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(1, 257), hash_count=st.integers(1, 8))
+@example(bits=1, hash_count=1)
+@example(bits=64, hash_count=7)
+@example(bits=257, hash_count=8)
+def test_contested_bytes_sbf_match_scalar_and_oracle(bits, hash_count):
+    """The same batches into flat filters of 1 to 257 bits, walked 3 keys
+    at a time and whole: the words, answers, ``hash_calls``,
+    ``probe_calls`` and ``inserted_count`` equal one scalar insert per
+    key and the double-hashing oracle's."""
+    hash_count = min(hash_count, bits)
+    batches, queries = _contested_batches(2 * bits // hash_count + 8)
+    for slice_keys in (3, 65_536):
+        f = StandardBloomFilter.from_shape(bits, hash_count)
+        scalar = StandardBloomFilter.from_shape(bits, hash_count)
+        oracle = DoubleHashingOracle(bits, hash_count, f.variant, f.seeds, counting=False)
+        with mock.patch.object(core, "SLICE_KEYS", slice_keys):
+            for batch in batches:
+                f.insert_batch(key_matrix(batch, 8))
+                for key in batch:
+                    scalar.insert(key)
+                    oracle.insert(key)
+            answers = f.contains_batch(key_matrix(queries, 8)).tolist()
+        assert [int(w) for w in f.words] == [int(w) for w in scalar.words] == oracle.words()
+        assert answers == [scalar.contains(key) for key in queries]
+        assert answers == [oracle.lookup(key) for key in queries]
+        assert (f.hash_calls, f.probe_calls, f.inserted_count) == (
+            scalar.hash_calls, scalar.probe_calls, scalar.inserted_count)
 
 
 class TestScalarOperations:
@@ -435,13 +597,14 @@ def test_multi_slice_batches_match_whole_batch_and_scalar(kind, monkeypatch):
 @pytest.mark.parametrize("op", ["insert_batch", "contains_batch"])
 def test_multi_slice_batch_transient_memory_per_key(kind, op, monkeypatch):
     """A call of 16 slices peaks at one slice's temporaries plus the
-    answers, not at the whole call's.  One unsliced call holds ~110 B/key
+    answers, not at the whole call's.  One unsliced call holds ~116 B/key
     for the 2D insert (the fold's block words, k = 5 digest rows and
-    their finalize temporary), 160 for the SBF insert (an index and a
-    bit-word matrix, k = 10), 80-90 for a lookup and 343 for the CBF
-    insert, whose sorted probe matrix sets the larger bound.  Measured
-    for insert/lookup: 2D 7.1/5.6, SBF 10.1/5.0, CBF 25.4/5.0 B/key
-    (numpy 2.4)."""
+    their finalize temporary), 235 for the SBF insert (its k = 10
+    position rows, and the probes that lose ``set_bits``' first round,
+    most of them when one call fills the whole filter), 80-90 for a
+    lookup and 343 for the CBF insert, whose sorted probe matrix sets
+    the larger bound.  Measured for insert/lookup: 2D 7.1/5.6, SBF
+    7.6/5.0, CBF 22.9/5.0 B/key (numpy 2.4)."""
     monkeypatch.setattr(core, "SLICE_KEYS", 4096)
     corpus = generate_corpus(16 * 4096, 61)
     f = THREE_FILTERS[kind](len(corpus))
