@@ -75,6 +75,10 @@ def mod_batch(
 # operands of set_bits in its arrays' own dtypes, so no call mixes dtypes
 _ONE8, _SEVEN8, _THREE, _SEVEN = np.uint8(1), np.uint8(7), np.uint64(3), np.uint64(7)
 
+# the fewest probes set_bits writes at a time, so that a small filter's
+# batch is not cut into many chunks of a few probes each
+_MIN_CHUNK = 8192
+
 
 def set_bits(words: np.ndarray, pos: np.ndarray) -> None:
     """Set bit ``p & 63`` of word ``p >> 6`` of ``words``, a C-contiguous
@@ -82,20 +86,17 @@ def set_bits(words: np.ndarray, pos: np.ndarray) -> None:
     which is overwritten.
 
     The one storage write of both bit-array batch inserts.  Each probe
-    becomes a byte of a uint8 view of ``words`` and a one-bit mask.  A
-    round gathers the bytes, ORs each probe's mask in and writes the
-    results back with ``np.maximum.at``, which runs numpy's indexed loop;
-    ``np.bitwise_or`` has none for ``ufunc.at`` (655,360 probes, numpy
-    2.4: 1.7 against 8.0 ms).  The maximum of cur | a and cur | b is one
-    of the two, so a round sets no bit no probe asked for; where probes
-    with different bits meet in one byte, only the highest bit is set,
-    and the probes whose bit is still clear go round again.  Each round sets a
-    pending bit of every contested byte, so a call takes at most 8
-    rounds.  At 0.4 probes per byte (a 65,536-key slice into a filter
-    sized for 10**6 keys) a few percent of the probes go round again.
-    One call of a filter's whole capacity puts ~5 on each byte: most of
-    them go round again, the call takes all 8 rounds, and it runs
-    1.5-1.8x slower than one OR scatter of uint64 words.
+    becomes a byte of a uint8 view of ``words`` and a one-bit mask.
+    ``pos`` is walked in chunks of at most one probe per four bytes of
+    storage (at least ``_MIN_CHUNK``).  A round gathers a chunk's bytes,
+    ORs each probe's mask in and writes the results back with
+    ``np.maximum.at``, which runs numpy's indexed loop.  The maximum of
+    cur | a and cur | b is one of the two, so a round sets no bit no
+    probe asked for; where probes with different bits meet in one byte,
+    only the highest is set, and the probes whose bit is still clear go
+    round again.  Each round sets a pending bit of every byte a probe
+    still waits on, so a chunk takes at most 8 rounds, and as a chunk
+    puts few probes on one byte, the rounds after the first are small.
 
     Bit b of word w is in byte ``8w + (b >> 3)`` on little-endian storage
     and ``8w + 7 - (b >> 3)`` on big-endian, taken from ``words``' dtype,
@@ -103,14 +104,22 @@ def set_bits(words: np.ndarray, pos: np.ndarray) -> None:
     """
     flat = words.reshape(-1).view(np.uint8)
     pos = pos.reshape(-1)
+    big_endian = words.dtype.str[0] == ">"
+    step = max(flat.size // 4, _MIN_CHUNK)
+    for start in range(0, pos.size, step):
+        _set_chunk(flat, pos[start : start + step], big_endian)
+
+
+def _set_chunk(flat: np.ndarray, pos: np.ndarray, big_endian: bool) -> None:
+    """The rounds of :func:`set_bits` for one chunk of positions."""
     mask = pos.astype(np.uint8)
     mask &= _SEVEN8
     np.left_shift(_ONE8, mask, out=mask)
     byte = np.right_shift(pos, _THREE, out=pos)
-    if words.dtype.str[0] == ">":
+    if big_endian:
         byte ^= _SEVEN
     byte = byte.view(np.int64)  # below 2^61
-    while byte.size:
+    while True:
         new = flat.take(byte)
         new |= mask
         np.maximum.at(flat, byte, new)
@@ -118,12 +127,8 @@ def set_bits(words: np.ndarray, pos: np.ndarray) -> None:
         new &= mask
         lost = (new == 0).nonzero()[0]
         if not lost.size:
-            break
-        # freed before the next round allocates: where many probes share
-        # each byte, most of them lose the first round
-        del new
+            return
         byte, mask = byte.take(lost), mask.take(lost)
-        del lost
 
 
 class _Filter:

@@ -495,7 +495,7 @@ def test_batch_transient_memory_per_key(kind, op):
     slice, or for the SBF insert one slice's k x 65,536 position matrix
     and its ``set_bits`` temporaries, not the whole call's k x count
     position matrix (k = 10 here, 80 B/key on its own); the bound sits
-    between the two.  Measured for the SBF insert: 56.6 B/key (numpy 2.4)."""
+    between the two.  Measured for the SBF insert: 31.5 B/key (numpy 2.4)."""
     corpus = generate_corpus(200_000, 59)
     f = (CountingBloomFilter if kind == "cbf" else StandardBloomFilter)(len(corpus), 0.001)
     if op == "contains_batch":
