@@ -24,13 +24,7 @@ from .geometry import (
     optimal_hash_count,
 )
 from .hashing import HashVariant, derive_seeds, hash_batch, hash_key, splitmix64
-from .primes import (
-    PrimeTable,
-    PrimeTableExhaustedError,
-    default_table,
-    select_prime,
-    sieve_primes,
-)
+from .primes import PrimeTableExhaustedError, default_table
 
 _LAZY_EXPORTS = {
     "bench": (
@@ -82,7 +76,6 @@ __all__ = [
     "GeometryUnderflowError",
     "HashVariant",
     "KeyCorpus",
-    "PrimeTable",
     "PrimeTableExhaustedError",
     "QueryKind",
     "QuerySet",
@@ -109,8 +102,6 @@ __all__ = [
     "run_insert_bench",
     "run_lookup_bench",
     "save_filter",
-    "select_prime",
-    "sieve_primes",
     "splitmix64",
     "write_corpus",
     "write_query_set",

@@ -4,8 +4,9 @@ The two-dimensional filter is a matrix of 64-bit cells, each using its
 low ``beta = 61`` bits (the largest prime not exceeding 64; fixed).  It
 is sized from the classic Bloom budget ``m = -n*ln(eps)/ln(2)^2``: the
 cell-count target is ``q = m / (2*beta)``, the dimension target is
-``t = sqrt(q)``, and the dimensions are the primes sitting three table
-slots to either side of the first prime above ``t``.
+``t = sqrt(q)``, and the dimensions are the primes sitting three slots
+to either side of the first prime above ``t`` in the ascending prime
+array, four when three would land on ``beta``.
 The filter then uses half the classic hash count.  The resulting matrix
 holds roughly half the classic bit budget; see the benchmark reports for
 the false-positive behaviour this buys.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .primes import PrimeTableExhaustedError, default_table, is_prime, select_prime
+from .primes import DEFAULT_LIMIT, PrimeTableExhaustedError, default_table, is_prime
 
 # Physical bits per cell, and the usable low bits of each: the largest
 # prime not exceeding CELL_WIDTH.
@@ -28,7 +29,7 @@ _DIM_OFFSET = 3
 
 
 class GeometryUnderflowError(ValueError):
-    """Capacity too small to place both dimensions in the prime table."""
+    """Capacity too small to place both dimensions in the prime array."""
 
 
 def _round_half_up(x: float) -> int:
@@ -61,7 +62,9 @@ def optimal_hash_count(bits: int, expected_items: int) -> int:
 class FilterGeometry:
     """Shape of a two-dimensional filter.
 
-    ``rows``, ``cols`` and ``cell_bits`` are prime and rows != cols;
+    ``rows``, ``cols`` and ``cell_bits`` are three distinct primes, so
+    that ``(d mod rows, d mod cols, d mod cell_bits)`` is a bijection of
+    ``d mod rows*cols*cell_bits`` (Chinese remainder theorem).
     ``cell_bits`` counts the usable low bits of each 64-bit cell, at
     most 64 (:func:`derive_geometry` uses :data:`CELL_BITS`; smaller
     primes give small test shapes).  Construction raises
@@ -78,8 +81,11 @@ class FilterGeometry:
         for name in ("rows", "cols", "cell_bits"):
             if not is_prime(getattr(self, name)):
                 raise ValueError(f"{name} must be prime, got {getattr(self, name)}")
-        if self.rows == self.cols:
-            raise ValueError(f"rows and cols must differ, both are {self.rows}")
+        if len({self.rows, self.cols, self.cell_bits}) < 3:
+            raise ValueError(
+                f"rows, cols and cell_bits must be distinct, got "
+                f"{self.rows}, {self.cols} and {self.cell_bits}"
+            )
         if self.cell_bits > CELL_WIDTH:
             raise ValueError(f"cell_bits {self.cell_bits} exceeds the {CELL_WIDTH}-bit cell")
         if self.hash_count < 1:
@@ -94,8 +100,8 @@ class FilterGeometry:
 def min_supported_items(fp_target: float) -> int:
     """Smallest capacity for which :func:`derive_geometry` succeeds."""
     _check_fp_target(fp_target)
-    # the dimension target must reach the table's third prime, 5
-    floor_target = int(default_table(5).primes[_DIM_OFFSET - 1]) ** 2
+    # the dimension target must reach the third prime, 5
+    floor_target = int(default_table(5)[_DIM_OFFSET - 1]) ** 2
     n = max(
         1,
         math.ceil(2 * CELL_BITS * floor_target * math.log(2) ** 2 / -math.log(fp_target)),
@@ -121,35 +127,50 @@ def derive_geometry(expected_items: int, fp_target: float) -> FilterGeometry:
     (9.97 for 0.001), more than the 6.9 to 8.1 usable bits this shape
     keeps at these sizes.
 
-    The shared prime table is asked only for primes up to
+    The shared prime array is asked only for primes up to
     ``min(10**7, 2*isqrt(q) + 1000)``.  No gap between primes below
     10**7 exceeds 154, so that holds the first prime above ``sqrt(q)``
-    and the three after it: a cold process sizing 10**6 items at 0.001
+    and the four after it: a cold process sizing 10**6 items at 0.001
     sieves the numbers up to 1,686, not ten million.  Targets near 10**7
-    reach the full table.
+    reach every prime below 10**7.
+
+    A dimension three slots away that equals ``CELL_BITS`` is replaced by
+    the prime one slot further out, so that rows, cols and cell bits stay
+    pairwise coprime (:class:`FilterGeometry`).
 
     Raises :class:`GeometryUnderflowError` when the capacity is too small
     for the three-slot dimension offsets, naming the smallest supported
-    capacity, and propagates :class:`PrimeTableExhaustedError` when the
-    dimension target outruns the 10**7 table.
+    capacity, and :class:`PrimeTableExhaustedError` when the dimension
+    target outruns the primes below 10**7.
     """
     bits = optimal_bits(expected_items, fp_target)
     cells = bits // (2 * CELL_BITS)
-    table = default_table(2 * math.isqrt(cells) + 1000)
-    prime_index = select_prime(table, math.sqrt(cells))
+    target = math.isqrt(cells)  # a prime exceeds sqrt(cells) iff it exceeds this
+    # below the 10**7 cap the array holds the first prime above target and
+    # the four after it, so only the full array can run out
+    primes = default_table(2 * target + 1000)
+    if target >= primes[-1]:
+        raise PrimeTableExhaustedError(
+            f"prime table with limit {DEFAULT_LIMIT} has no prime above {target}"
+        )
+    prime_index = int(primes.searchsorted(target, side="right"))
     if prime_index < _DIM_OFFSET:
         raise GeometryUnderflowError(
             f"expected_items={expected_items} is too small for a two-dimensional "
             f"shape at fp_target={fp_target}; the smallest supported value is "
             f"{min_supported_items(fp_target)}"
         )
-    if prime_index + _DIM_OFFSET >= len(table):
+    if prime_index + _DIM_OFFSET >= len(primes):
         raise PrimeTableExhaustedError(
-            f"prime table with limit {table.limit} cannot place a dimension "
+            f"prime table with limit {DEFAULT_LIMIT} cannot place a dimension "
             f"{_DIM_OFFSET} slots above index {prime_index}"
         )
-    rows = int(table.primes[prime_index + _DIM_OFFSET])
-    cols = int(table.primes[prime_index - _DIM_OFFSET])
+    rows = int(primes[prime_index + _DIM_OFFSET])
+    if rows == CELL_BITS:
+        rows = int(primes[prime_index + _DIM_OFFSET + 1])
+    cols = int(primes[prime_index - _DIM_OFFSET])
+    if cols == CELL_BITS:
+        cols = int(primes[prime_index - _DIM_OFFSET - 1])
     half_hashes = max(
         1, _round_half_up(optimal_hash_count(bits, expected_items) / 2)
     )

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from bloom2d import primes
+from bloom2d import geometry, primes
 from bloom2d.core import TwoDBloomFilter
 from bloom2d.geometry import (
     CELL_BITS,
@@ -16,8 +17,10 @@ from bloom2d.geometry import (
     optimal_bits,
     optimal_hash_count,
 )
-from bloom2d.primes import PrimeTable, PrimeTableExhaustedError, select_prime
+from bloom2d.primes import PrimeTableExhaustedError
+from bloom2d.workload import generate_corpus, make_query_set
 
+from reference_oracle import designed_fpp, fpp_bound
 from test_primes import trial_division_is_prime
 
 
@@ -69,12 +72,17 @@ class TestDeriveGeometry:
         assert g.memory_bits == 1097 * 1061 * 64 == 74_490_688
 
     def test_dimensions_are_distinct_primes(self):
-        for n in (250, 10_000, 1_000_000):
+        # three slots from the selected prime lies 61 at 17,000 (rows)
+        # and 44,000 (cols), so those shapes take the prime four slots away
+        for n, shape in [(17_000, (67, 37)), (44_000, (89, 59))]:
+            g = derive_geometry(n, 0.001)
+            assert (g.rows, g.cols) == shape
+        for n in (250, 10_000, 17_000, 44_000, 1_000_000):
             g = derive_geometry(n, 0.001)
             assert trial_division_is_prime(g.rows)
             assert trial_division_is_prime(g.cols)
             assert trial_division_is_prime(g.cell_bits)
-            assert g.rows != g.cols
+            assert len({g.rows, g.cols, g.cell_bits}) == 3
             assert g.rows > g.cols  # three slots above vs below the target
 
     @pytest.mark.parametrize("width,expected_cell_bits", [(CELL_WIDTH, 61)])
@@ -124,30 +132,31 @@ class TestDeriveGeometry:
             derive_geometry(848_537_310_177_106, 0.001)
 
 
-@pytest.fixture
-def cold_table(monkeypatch):
-    """Empty the shared prime table for one test, as in a fresh process."""
-    monkeypatch.setattr(primes, "_default_table", None)
-
-
 @pytest.fixture(scope="module")
 def full_table():
-    return PrimeTable.up_to(10**7)
+    """Every prime below 10**7, and their squares."""
+    table = primes.default_table()
+    return table, table * table
 
 
-def reference_shape(table, expected_items, fp_target):
-    """The shape read off the whole 10**7 table, or the error it meets."""
+def reference_shape(full_table, expected_items, fp_target):
+    """The shape read off every prime below 10**7, or the error it meets.
+
+    The selected prime is the first ``p`` with ``p*p > q``, and a
+    dimension three slots away that would equal ``CELL_BITS`` moves one
+    slot further out.
+    """
+    table, squares = full_table
     bits = optimal_bits(expected_items, fp_target)
-    try:
-        index = select_prime(table, math.sqrt(bits // (2 * CELL_BITS)))
-    except PrimeTableExhaustedError:
-        return PrimeTableExhaustedError
+    index = int(np.searchsorted(squares, bits // (2 * CELL_BITS), side="right"))
     if index < 3:
         return GeometryUnderflowError
     if index + 3 >= len(table):
         return PrimeTableExhaustedError
+    rows = int(table[index + 3]) if table[index + 3] != CELL_BITS else int(table[index + 4])
+    cols = int(table[index - 3]) if table[index - 3] != CELL_BITS else int(table[index - 4])
     half = max(1, math.floor(optimal_hash_count(bits, expected_items) / 2 + 0.5))
-    return (int(table.primes[index + 3]), int(table.primes[index - 3]), CELL_BITS, half)
+    return (rows, cols, CELL_BITS, half)
 
 
 def derived_shape(expected_items, fp_target):
@@ -183,15 +192,79 @@ class TestSizingPrimeTable:
         around = range(edge - 50, edge + 50)
         assert min(grid) < edge < max(grid)
         for n in [*dense, *sorted(grid), *around]:
-            assert derived_shape(n, fp_target) == reference_shape(full_table, n, fp_target), n
+            shape = derived_shape(n, fp_target)
+            assert shape == reference_shape(full_table, n, fp_target), n
+            if isinstance(shape, tuple):
+                rows, cols, cell_bits, _ = shape
+                # pairwise coprime, so the cell layout is the CRT bijection
+                assert math.gcd(rows, cols) == math.gcd(rows, cell_bits) == 1, n
+                assert math.gcd(cols, cell_bits) == 1, n
 
     def test_sizing_sieves_only_the_primes_it_needs(self, cold_table):
         derive_geometry(10**6, 0.001)
         TwoDBloomFilter.for_capacity(10**6, 0.001)
         assert min_supported_items(0.001) == 213
         table = primes.default_table(1)
-        assert int(table.primes[-1]) < 2_000
-        assert table.limit < 2_000
+        assert int(table[-1]) < 2_000
+        assert primes._limit < 2_000
+
+    def test_sizing_reads_the_array_through_the_module_global(self, monkeypatch):
+        # the benchmark times sizing's prime array by replacing
+        # geometry.default_table with a wrapper, as this spy does
+        calls = []
+        real = geometry.default_table
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "default_table", spy)
+        derive_geometry(10**6, 0.001)
+        assert len(calls) == 1
+        TwoDBloomFilter.for_capacity(10**6, 0.001)
+        assert len(calls) == 2
+        assert int(primes.default_table()[-1]) == 9_999_991
+
+
+# Capacities whose shape held a dimension equal to CELL_BITS before the
+# shape skipped it: rows = 61 (61x37) in the first range, cols = 61
+# (89x61) in the second.  Such a filter sets bits only where the row or
+# column number equals the bit number, and filled to capacity it answers
+# nearly every absent query "present".
+BETA_RANGES = {
+    0.1: ((47_069, 56_232), (128_325, 135_656)),
+    0.01: ((23_535, 28_116), (64_163, 67_828)),
+    0.001: ((15_690, 18_744), (42_775, 45_218)),
+    1e-4: ((11_768, 14_058), (32_082, 33_914)),
+}
+SWEEP_QUERIES = 20_000
+
+
+@pytest.fixture(scope="module")
+def sweep_keys():
+    corpus = generate_corpus(200_000, 41)
+    return corpus.matrix, make_query_set("disjoint", corpus, SWEEP_QUERIES, 43).matrix
+
+
+class TestCapacitySweep:
+    @pytest.mark.parametrize("fp_target", sorted(BETA_RANGES))
+    def test_filled_filter_meets_its_designed_rate(self, sweep_keys, fp_target):
+        """Filled to capacity, every shape's false-positive rate on absent
+        queries stays within p* + 4 binomial standard errors: at both
+        ends and the middle of each range above, and on a sparse grid."""
+        members, queries = sweep_keys
+        floor = min_supported_items(fp_target)
+        capacities = [
+            n for low, high in BETA_RANGES[fp_target] for n in (low, (low + high) // 2, high)
+        ]
+        capacities += [floor * 4**step for step in range(8) if floor * 4**step <= 200_000]
+        for n in capacities:
+            f = TwoDBloomFilter.for_capacity(n, fp_target)
+            f.insert_batch(members[:n])
+            fpp = float(f.contains_batch(queries).mean())
+            g = f.geometry
+            bound = fpp_bound(designed_fpp(g, n), SWEEP_QUERIES)
+            assert fpp <= bound, (n, g.rows, g.cols, g.cell_bits, fpp, bound)
 
 
 class TestGeometryInvariants:
@@ -209,13 +282,16 @@ class TestGeometryInvariants:
             dict(cols=1),                           # cols not prime
             dict(cell_bits=63),                     # cell_bits not prime
             dict(rows=11),                          # rows == cols
+            dict(rows=61),                          # rows == cell_bits
+            dict(cols=61),                          # cols == cell_bits
             dict(cell_bits=67),                     # prime, wider than the cell
             dict(hash_count=0),
             dict(hash_count=-1),
         ],
         ids=[
             "square-composite", "rows-composite", "cols-one", "cell-bits-composite",
-            "rows-equal-cols", "cell-bits-67-of-64",
+            "rows-equal-cols", "rows-equal-cell-bits", "cols-equal-cell-bits",
+            "cell-bits-67-of-64",
             "hash-count-0", "hash-count-negative",
         ],
     )

@@ -1,19 +1,22 @@
-"""Prime table: sieve correctness against trial division, index selection."""
+"""Shared prime array: sieve correctness against trial division, growth,
+and the dimension primes that sizing selects from it."""
+
+import math
+from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bloom2d import primes
-from bloom2d.primes import (
-    PrimeTable,
-    PrimeTableExhaustedError,
-    default_table,
-    is_prime,
-    select_prime,
-    sieve_primes,
+from bloom2d.geometry import (
+    CELL_BITS,
+    GeometryUnderflowError,
+    derive_geometry,
+    optimal_bits,
 )
+from bloom2d.primes import PrimeTableExhaustedError, default_table, is_prime
 
 
 def trial_division_is_prime(value: int) -> bool:
@@ -29,8 +32,9 @@ def trial_division_is_prime(value: int) -> bool:
     return True
 
 
-def test_sieve_matches_trial_division_to_2000():
-    sieved = set(sieve_primes(2000).tolist())
+def test_sieve_matches_trial_division_to_2000(cold_table):
+    sieved = set(default_table(2000).tolist())
+    assert primes._limit == 2000
     for value in range(2001):
         assert (value in sieved) == trial_division_is_prime(value), value
 
@@ -41,75 +45,129 @@ def test_is_prime_matches_trial_division_reference():
     assert is_prime(1_000_003) and not is_prime(1_000_001)
 
 
-def test_sieve_small_limits():
-    assert sieve_primes(1).size == 0
-    assert sieve_primes(2).tolist() == [2]
-    assert sieve_primes(11).tolist() == [2, 3, 5, 7, 11]
+def test_sieve_small_limits(cold_table):
+    assert default_table(1).size == 0
+    assert default_table(2).tolist() == [2]
+    assert default_table(11).tolist() == [2, 3, 5, 7, 11]
+    assert primes._limit == 11
 
 
 def test_default_table_covers_ten_million():
     table = default_table()
-    assert table.limit == 10_000_000
-    assert int(table.primes[0]) == 2
-    assert int(table.primes[-1]) == 9_999_991  # largest prime below 10**7
-    assert np.all(np.diff(table.primes) > 0)
+    assert primes._limit == 10_000_000
+    assert table.dtype == np.int64
+    assert int(table[0]) == 2
+    assert int(table[-1]) == 9_999_991  # largest prime below 10**7
+    assert np.all(np.diff(table) > 0)
     assert default_table() is table  # built once per process
 
 
-def test_default_table_grows_only_when_asked_past_its_limit(monkeypatch):
-    monkeypatch.setattr(primes, "_default_table", None)
+def test_default_table_grows_only_when_asked_past_its_limit(cold_table):
     small = default_table(100)
-    assert small.limit == 100 and int(small.primes[-1]) == 97
-    assert default_table(50) is small  # a larger table serves smaller asks
+    assert primes._limit == 100 and int(small[-1]) == 97
+    assert default_table(50) is small  # a larger array serves smaller asks
     grown = default_table(150)
-    assert grown.limit == 200  # at least doubles, so growth is amortised
-    assert grown.primes.tolist() == sieve_primes(200).tolist()
+    assert primes._limit == 200  # at least doubles, so growth is amortised
+    assert grown.tolist() == [v for v in range(201) if trial_division_is_prime(v)]
     full = default_table(10**9)
-    assert full.limit == 10_000_000  # never past 10**7
+    assert primes._limit == 10_000_000  # never past 10**7
     assert default_table() is full
 
 
+def capacity_for_cells(cells, fp_target=0.001):
+    """Smallest capacity whose cell-count target q is exactly ``cells``."""
+    low, high = 1, 10**16
+    while low < high:
+        mid = (low + high) // 2
+        if optimal_bits(mid, fp_target) // (2 * CELL_BITS) >= cells:
+            high = mid
+        else:
+            low = mid + 1
+    assert optimal_bits(low, fp_target) // (2 * CELL_BITS) == cells
+    return low
+
+
+def dimensions_at(cells):
+    g = derive_geometry(capacity_for_cells(cells), 0.001)
+    return g.rows, g.cols
+
+
+def primes_from(value, step):
+    """Primes past ``value``, upward for step 1 and downward to 2 for -1."""
+    value += step
+    while value >= 2 or step > 0:
+        if trial_division_is_prime(value):
+            yield value
+        value += step
+
+
 class TestSelectPrime:
+    """Sizing selects the first prime strictly above sqrt(q) and takes the
+    primes three slots to either side of it as rows and cols."""
+
     def test_smallest_prime(self):
-        table = default_table()
-        assert int(table.primes[select_prime(table, 1)]) == 2
+        # sqrt(25) = 5: the first prime above is 7, whose third prime
+        # below is the smallest prime
+        assert dimensions_at(25) == (17, 2)
+        # sqrt(24) < 5: the first prime above, 5, has two primes below it
+        with pytest.raises(GeometryUnderflowError):
+            dimensions_at(24)
 
     def test_next_prime_after_ten(self):
-        table = default_table()
-        assert int(table.primes[select_prime(table, 10)]) == 11
+        # 11 for sqrt(100) = 10 and for sqrt(120) = 10.95
+        assert dimensions_at(100) == dimensions_at(120) == (19, 3)
 
     def test_fractional_target(self):
         # trial division over 1080..1090 names 1087 as the next prime
         candidates = [v for v in range(1081, 1091) if trial_division_is_prime(v)]
         assert candidates == [1087]
-        table = default_table()
-        assert int(table.primes[select_prime(table, 1085.58)]) == 1087
+        assert math.sqrt(1_178_484) == pytest.approx(1085.58, abs=0.01)
+        # 1087 and three primes out: 1091, 1093, 1097 and 1069, 1063, 1061
+        assert dimensions_at(1_178_484) == (1097, 1061)
 
     def test_strictness_at_a_prime(self):
-        table = default_table()
-        index = select_prime(table, 11)
-        assert int(table.primes[index]) == 13
+        # sqrt(121) = 11 is prime itself, so the selected prime is 13
+        assert dimensions_at(121) == (23, 5)
 
-    def test_exhaustion(self):
-        table = PrimeTable.up_to(100)
-        with pytest.raises(PrimeTableExhaustedError):
-            select_prime(table, 97)
-        with pytest.raises(PrimeTableExhaustedError):
-            select_prime(table, 1000)
+    def test_exhaustion(self, cold_table):
+        # 9,999,991 is the largest prime below 10**7: no prime lies above
+        # it, and the array never grows past 10**7 to look for one
+        with pytest.raises(PrimeTableExhaustedError, match="no prime above"):
+            dimensions_at(9_999_991**2)
+        assert primes._limit == 10_000_000
+        with pytest.raises(PrimeTableExhaustedError, match="no prime above"):
+            dimensions_at(10**15)
 
-    def test_linear_and_binary_paths_agree(self):
-        # a short table and the default one select the same prime
-        small = PrimeTable.up_to(10_000)
-        big = default_table()
-        for target in (1, 2, 2.5, 10, 97, 1085.58, 7919):
-            i_small = select_prime(small, target)
-            i_big = select_prime(big, target)
-            assert int(small.primes[i_small]) == int(big.primes[i_big])
+    def test_linear_and_binary_paths_agree(self, monkeypatch):
+        # a cold process's short array and the full one give one shape
+        cells = (25, 100, 121, 97**2, 1_178_484, 7919**2)
+        short = []
+        for q in cells:
+            monkeypatch.setattr(primes, "_primes", primes._primes[:0])
+            monkeypatch.setattr(primes, "_limit", 0)
+            short.append(dimensions_at(q))
+            assert primes._limit < 10**5
+        default_table()
+        assert [dimensions_at(q) for q in cells] == short
 
-    @given(target=st.floats(min_value=0, max_value=9000, allow_nan=False))
-    def test_returned_index_is_minimal(self, target):
-        table = PrimeTable.up_to(10_000)
-        index = select_prime(table, target)
-        assert table.primes[index] > target
-        if index > 0:
-            assert table.primes[index - 1] <= target
+    @given(
+        expected_items=st.integers(min_value=1, max_value=10**12),
+        fp_target=st.sampled_from([0.1, 0.01, 0.001, 1e-4, 1e-6]),
+    )
+    @example(expected_items=17_000, fp_target=0.001)  # rows would be 61
+    @example(expected_items=44_000, fp_target=0.001)  # cols would be 61
+    def test_returned_index_is_minimal(self, expected_items, fp_target):
+        # rows and cols are the third prime after and before the first
+        # prime above sqrt(q), or the fourth where the third is beta
+        cells = optimal_bits(expected_items, fp_target) // (2 * CELL_BITS)
+        first = next(primes_from(math.isqrt(cells), 1))
+        above = list(islice(primes_from(first, 1), 4))
+        below = list(islice(primes_from(first, -1), 4))
+        if len(below) < 3:
+            with pytest.raises(GeometryUnderflowError):
+                derive_geometry(expected_items, fp_target)
+            return
+        rows = above[3] if above[2] == CELL_BITS else above[2]
+        cols = below[3] if below[2] == CELL_BITS else below[2]
+        g = derive_geometry(expected_items, fp_target)
+        assert (g.rows, g.cols) == (rows, cols)

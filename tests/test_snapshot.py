@@ -243,6 +243,15 @@ def test_two_d_cell_bits_wider_than_cell_is_rejected(tmp_path):
         load_bytes(tmp_path, patched(raw, CELL_BITS_AT, "<B", 200))
 
 
+@pytest.mark.parametrize("cell_bits", [5, 3], ids=["rows", "cols"])
+def test_two_d_dimension_equal_to_cell_bits_is_rejected(tmp_path, cell_bits):
+    # the filter is 5x3 and empty, so no cell bit lies at or above the
+    # patched cell_bits and only the shape check can reject it
+    raw = snapshot_bytes(tmp_path, small_filter("robustbf"))
+    with pytest.raises(ValueError, match="distinct"):
+        load_bytes(tmp_path, patched(raw, CELL_BITS_AT, "<B", cell_bits))
+
+
 @pytest.mark.parametrize("width", [0, 8, 16, 32, 48, 255])
 def test_two_d_cell_width_other_than_64_is_rejected(tmp_path, width):
     raw = snapshot_bytes(tmp_path, small_filters()["robustbf"])
