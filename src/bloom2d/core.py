@@ -18,9 +18,12 @@ use :class:`~bloom2d.baselines.CountingBloomFilter` instead, whose
 
 Batch calls walk the key matrix in row slices of at most
 :data:`SLICE_KEYS` keys, so the temporaries of one call stay the size of
-one slice however many keys it holds.  Slicing changes no result: bits
-are ORed, lookups are per key, and the counting filter's saturating add
-composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
+one slice however many keys it holds.  The 2D insert takes slices of
+``max(1, SLICE_KEYS // k)`` keys, so that the ``(k, count)`` digest and
+position matrices it folds, addresses and writes hold at most
+``SLICE_KEYS`` values, as a lookup's one-seed rows do.  Slicing changes
+no result: bits are ORed, lookups are per key, and the counting filter's
+saturating add composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
 
 Batch paths reduce a digest d by each modulus m through its quotient,
 d - (d // m) * m (:func:`mod_batch`), which equals d mod m and avoids a
@@ -52,7 +55,11 @@ from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_
 # Keys per slice of a batch call: 65,536 keep a slice's temporaries to a
 # few MiB (the counting filter's insert peaks near 26 B per key of the
 # whole call at 10**6 keys), and 32k to 131k keys per slice ran equally
-# fast.  Read on each call, so a test can patch it down.
+# fast.  The 2D insert cuts SLICE_KEYS // k keys: its (k, count) uint64
+# matrices, 2.6 MB at k = 5 and 65,536 keys, spilled a 2 MiB L2 and ran
+# 1.4x slower.  Smaller slices for every call slowed the 2D lookups and
+# the CBF insert, and helped the SBF insert at 10**6 keys but slowed it
+# at 10**5.  Read on each call, so a test can patch it down.
 SLICE_KEYS = 65_536
 
 
@@ -139,8 +146,9 @@ class _Filter:
 
     It also owns the batch entry points: ``insert_batch`` and
     ``contains_batch`` hand each row slice of at most ``SLICE_KEYS`` keys
-    to the filter's ``_insert_slice``/``_contains_slice``.  A matrix of
-    no more keys than that, an empty one included, is handed over whole.
+    (the 2D insert: ``SLICE_KEYS // k``) to the filter's
+    ``_insert_slice``/``_contains_slice``.  A matrix of no more keys than
+    that, an empty one included, is handed over whole.
     """
 
     def __init__(
@@ -158,21 +166,20 @@ class _Filter:
         self.hash_calls = 0
 
     @staticmethod
-    def _slices(keys: np.ndarray):
+    def _slices(keys: np.ndarray, size: int):
         keys = hashing.as_key_matrix(keys)
-        size = SLICE_KEYS
         if len(keys) <= size:
             return (keys,)
         return (keys[start : start + size] for start in range(0, len(keys), size))
 
     def insert_batch(self, keys: np.ndarray) -> None:
         """Insert every row of a ``(count, length)`` uint8 key matrix."""
-        for part in self._slices(keys):
+        for part in self._slices(keys, SLICE_KEYS):
             self._insert_slice(part)
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
         """One bool per row of a ``(count, length)`` uint8 key matrix."""
-        answers = [self._contains_slice(part) for part in self._slices(keys)]
+        answers = [self._contains_slice(part) for part in self._slices(keys, SLICE_KEYS)]
         return answers[0] if len(answers) == 1 else np.concatenate(answers)
 
     def _insert_slice(self, keys: np.ndarray) -> None:
@@ -272,6 +279,14 @@ class TwoDBloomFilter(_Filter):
         digests //= cols
         digests *= cols
         return np.subtract(index, digests, out=digests).view(np.int64)
+
+    def insert_batch(self, keys: np.ndarray) -> None:
+        """Insert every row of a ``(count, length)`` uint8 key matrix, in
+        slices of ``max(1, SLICE_KEYS // k)`` keys: a slice's ``(k, count)``
+        digest and position matrices then hold at most ``SLICE_KEYS``
+        values, 512 KiB each, and stay in L2 from the fold to the write."""
+        for part in self._slices(keys, max(1, SLICE_KEYS // self.geometry.hash_count)):
+            self._insert_slice(part)
 
     def _insert_slice(self, keys: np.ndarray) -> None:
         digests = fold_batch(mix_batch(keys, self.variant), self.seeds)

@@ -242,7 +242,8 @@ def fold_batch(blocks: KeyBlocks, seeds: int | Sequence[int]) -> np.ndarray:
         h = np.full(words.shape[1], (operator.index(seeds) ^ salt) & _MASK64, dtype=np.uint64)
     else:
         states = [(operator.index(seed) ^ salt) & _MASK64 for seed in seeds]
-        h = np.repeat(np.array(states, dtype=np.uint64)[:, None], words.shape[1], axis=1)
+        h = np.empty((len(states), words.shape[1]), dtype=np.uint64)
+        h[:] = np.array(states, dtype=np.uint64)[:, None]
     for k in words:
         h ^= k
         h *= mult

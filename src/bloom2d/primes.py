@@ -56,4 +56,5 @@ def default_table(limit: int = DEFAULT_LIMIT) -> np.ndarray:
                 if flags[p]:
                     flags[p * p :: p] = False
             _primes, _limit = np.flatnonzero(flags).astype(np.int64), limit
+            _primes.flags.writeable = False  # shared: a caller's write would reshape others' filters
         return _primes

@@ -544,13 +544,22 @@ def test_batch_ops_match_bit_matrix_oracle_across_slices(monkeypatch):
     test_batch_ops_match_bit_matrix_oracle()
 
 
+def _spy(hook, sizes):
+    """``hook``, a slice method, recording each slice's key count in ``sizes``."""
+    def counted(self, part):
+        sizes.append(len(part))
+        return hook(self, part)
+    return counted
+
+
 @pytest.mark.parametrize("kind", THREE_FILTERS)
 def test_multi_slice_batches_match_whole_batch_and_scalar(kind, monkeypatch):
     """One ``insert_batch`` and one ``contains_batch`` walked in slices of
-    7 keys leave the same storage, answers, ``hash_calls``,
-    ``probe_calls`` and ``inserted_count`` as the same calls made whole
-    and as one scalar call per key.  700 copies of one key span 100
-    slices, so CBF counters saturate across slice boundaries."""
+    7 keys (the 2D insert in slices of ``max(1, 7 // k)``) leave the same
+    storage, answers, ``hash_calls``, ``probe_calls`` and
+    ``inserted_count`` as the same calls made whole and as one scalar
+    call per key.  700 copies of one key span 100 slices, so CBF
+    counters saturate across slice boundaries."""
     corpus = generate_corpus(1000, 23)
     copies = np.repeat(corpus.matrix[500:501], 700, axis=0)
     keys = np.concatenate([corpus.matrix[:500], copies, corpus.matrix[500:]])
@@ -561,20 +570,16 @@ def test_multi_slice_batches_match_whole_batch_and_scalar(kind, monkeypatch):
     answers = {"whole": whole.contains_batch(queries)}
 
     monkeypatch.setattr(core, "SLICE_KEYS", 7)
-    sizes = []
-
-    def spy(hook):
-        def counted(self, part):
-            sizes.append(len(part))
-            return hook(self, part)
-        return counted
-
-    for name in ("_insert_slice", "_contains_slice"):
-        monkeypatch.setattr(type(sliced), name, spy(getattr(type(sliced), name)))
+    sizes = {"_insert_slice": [], "_contains_slice": []}
+    for name, seen in sizes.items():
+        monkeypatch.setattr(type(sliced), name, _spy(getattr(type(sliced), name), seen))
     sliced.insert_batch(keys)
     answers["sliced"] = sliced.contains_batch(queries)
-    assert len(sizes) == -(-len(keys) // 7) + -(-len(queries) // 7)
-    assert max(sizes) == 7
+    insert_size = max(1, 7 // sliced.geometry.hash_count) if kind == "robustbf" else 7
+    for name, size, count in (("_insert_slice", insert_size, len(keys)),
+                              ("_contains_slice", 7, len(queries))):
+        assert len(sizes[name]) == -(-count // size)
+        assert max(sizes[name]) == size
 
     for row in keys:
         scalar.insert(row.tobytes())
@@ -598,14 +603,15 @@ def test_multi_slice_batches_match_whole_batch_and_scalar(kind, monkeypatch):
 @pytest.mark.parametrize("kind", THREE_FILTERS)
 @pytest.mark.parametrize("op", ["insert_batch", "contains_batch"])
 def test_multi_slice_batch_transient_memory_per_key(kind, op, monkeypatch):
-    """A call of 16 slices peaks at one slice's temporaries plus the
-    answers, not at the whole call's.  One unsliced call holds ~112 B/key
-    for the 2D insert (the fold's block words, k = 5 digest rows and
-    their finalize temporary), 96 for the SBF insert (its k = 10
-    position rows and one ``set_bits`` chunk's masks), 80-90 for a
-    lookup and 343 for the CBF insert, whose sorted probe matrix sets
-    the larger bound.  Measured for insert/lookup: 2D 7.1/5.6, SBF
-    6.8/5.0, CBF 23.0/5.0 B/key (numpy 2.4)."""
+    """A call of 16 slices (the 2D insert: 81 slices of up to 819 keys) peaks
+    at one slice's temporaries plus the answers, not at the whole
+    call's.  One unsliced call holds ~112 B/key for the 2D insert (the
+    fold's block words, k = 5 digest rows and their finalize
+    temporary), 96 for the SBF insert (its k = 10 position rows and one
+    ``set_bits`` chunk's masks), 80-90 for a lookup and 343 for the CBF
+    insert, whose sorted probe matrix sets the larger bound.  Measured
+    for insert/lookup: 2D 1.5/5.6, SBF 6.8/5.0, CBF 23.0/5.0 B/key
+    (numpy 2.4)."""
     monkeypatch.setattr(core, "SLICE_KEYS", 4096)
     corpus = generate_corpus(16 * 4096, 61)
     f = THREE_FILTERS[kind](len(corpus))
@@ -619,6 +625,47 @@ def test_multi_slice_batch_transient_memory_per_key(kind, op, monkeypatch):
         tracemalloc.stop()
     bound = 40 if (kind, op) == ("cbf", "insert_batch") else 12
     assert peak / len(corpus) < bound
+
+
+@pytest.mark.parametrize("hash_count", [5, 7, 10])
+def test_2d_insert_slices_hold_slice_keys_over_k_keys(hash_count, monkeypatch):
+    """At the default ``SLICE_KEYS`` the 2D insert hands ``_insert_slice``
+    at most ``SLICE_KEYS // k`` keys, so a slice's ``(k, count)`` digest
+    matrix holds at most ``SLICE_KEYS`` values; the cells, ``hash_calls``
+    and ``inserted_count`` equal those of the same keys inserted as one
+    slice."""
+    geometry = FilterGeometry(rows=131, cols=101, cell_bits=61, hash_count=hash_count)
+    size = core.SLICE_KEYS // hash_count
+    corpus = generate_corpus(2 * size + 17, 71)
+    sliced, whole = TwoDBloomFilter(geometry), TwoDBloomFilter(geometry)
+    sizes = []
+    with mock.patch.object(TwoDBloomFilter, "_insert_slice",
+                           _spy(TwoDBloomFilter._insert_slice, sizes)):
+        sliced.insert_batch(corpus.matrix)
+        assert sizes == [size, size, 17]
+        with mock.patch.object(core, "SLICE_KEYS", hash_count * len(corpus)):
+            whole.insert_batch(corpus.matrix)
+    assert sizes[3:] == [len(corpus)]
+    assert np.array_equal(sliced.cells, whole.cells)
+    assert (sliced.hash_calls, sliced.inserted_count) == (whole.hash_calls, whole.inserted_count)
+    assert sliced.hash_calls == hash_count * len(corpus)
+
+
+def test_2d_insert_peak_per_key():
+    """A whole-capacity 2D insert of 10**5 keys (k = 5, slices of 13,107
+    keys) peaks below 20 B/key above the filled filter.  Folding and
+    addressing 65,536-key slices peaked at 73.4 B/key; slices of
+    ``SLICE_KEYS // k`` keys measured 14.7 (numpy 2.4)."""
+    corpus = generate_corpus(100_000, 73)
+    f = TwoDBloomFilter.for_capacity(len(corpus), 0.001)
+    assert f.geometry.hash_count == 5
+    tracemalloc.start()
+    try:
+        f.insert_batch(corpus.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(corpus) < 20
 
 
 @pytest.mark.parametrize("kind", THREE_FILTERS)
@@ -741,15 +788,12 @@ class TestMemoryAccounting:
         assert round(g.memory_bits / 10_000_000, 2) == 7.45
 
 
-@pytest.mark.parametrize("kind", THREE_FILTERS)
-def test_storage_matches_memory_bits(kind):
-    """Each filter holds one storage array, the one ``memory_bits``
-    describes: the 2D cells exactly, the CBF's nibbles up to the spare
-    nibble of an odd m, the SBF's words up to the padding of the last
-    word.  By tracemalloc, a filter built and filled by ``insert_batch``
-    holds little besides that array, so a filter that starts keeping
-    per-instance caches fails here before it moves perfbench's
-    ``bits_per_key``."""
+def _held_after_insert(kind):
+    """A filter built and filled by one ``insert_batch`` of 20,000 keys,
+    its storage array, and the bytes tracemalloc counts as held after
+    the insert.  As in perfbench's ``measure_memory``, garbage is
+    collected before the insert and not after, so a Python object an
+    insert leaves for the collector counts."""
     corpus = generate_corpus(20_000, 67)
     make = THREE_FILTERS[kind]
     make(len(corpus)).insert_batch(corpus.matrix[:10])  # prime table, numpy caches
@@ -762,6 +806,19 @@ def test_storage_matches_memory_bits(kind):
     finally:
         tracemalloc.stop()
     (storage,) = [a for a in vars(f).values() if isinstance(a, np.ndarray)]
+    return f, storage, held
+
+
+@pytest.mark.parametrize("kind", THREE_FILTERS)
+def test_storage_matches_memory_bits(kind):
+    """Each filter holds one storage array, the one ``memory_bits``
+    describes: the 2D cells exactly, the CBF's nibbles up to the spare
+    nibble of an odd m, the SBF's words up to the padding of the last
+    word.  By tracemalloc, a filter built and filled by ``insert_batch``
+    holds little besides that array, so a filter that starts keeping
+    per-instance caches fails here before it moves perfbench's
+    ``bits_per_key``."""
+    f, storage, held = _held_after_insert(kind)
     physical = storage.nbytes * 8
     if kind == "robustbf":
         assert physical == f.memory_bits()
@@ -770,6 +827,21 @@ def test_storage_matches_memory_bits(kind):
         assert physical == 8 * ((f.bits + 1) // 2)
     else:
         assert 0 <= physical - f.memory_bits() < 64
+    assert storage.nbytes <= held < storage.nbytes + 4096
+
+
+@pytest.mark.parametrize("kind", THREE_FILTERS)
+def test_sliced_insert_holds_only_storage(kind, monkeypatch):
+    """The same 20,000 keys walked in slices of 1,000 (the 2D insert in
+    100 slices of 200) leave no more behind than one slice does: each
+    slice's fold and scatter free all they make.  A multi-seed fold
+    state made by ``np.repeat`` left Python objects for the collector on
+    every slice: all three filters held 4.0-4.4 kB beyond their storage,
+    the 2D and CBF over this bound; a fold state filled by assignment
+    leaves 1.5-2.0 kB."""
+    monkeypatch.setattr(core, "SLICE_KEYS", 1000)
+    f, storage, held = _held_after_insert(kind)
+    assert f.inserted_count == 20_000
     assert storage.nbytes <= held < storage.nbytes + 4096
 
 

@@ -62,6 +62,18 @@ def test_default_table_covers_ten_million():
     assert default_table() is table  # built once per process
 
 
+def test_default_table_is_read_only(cold_table):
+    """The one array is shared by every sizing call, so a caller's write
+    raises instead of changing the shapes of filters sized after it."""
+    for limit in (100, 2000):
+        table = default_table(limit)
+        with pytest.raises(ValueError):
+            table[0] = 4
+        assert int(table[0]) == 2
+    g = derive_geometry(10**6, 0.001)
+    assert (g.rows, g.cols, g.cell_bits) == (359, 317, 61)
+
+
 def test_default_table_grows_only_when_asked_past_its_limit(cold_table):
     small = default_table(100)
     assert primes._limit == 100 and int(small[-1]) == 97
