@@ -41,16 +41,16 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # The counting filter's scalar paths, indexed by a counter's parity: the
 # mask of its nibble within its byte, and every byte value after one
 # increment of that counter (a counter at 15 stays) or one decrement (a
-# counter at 0 or 15 stays).  With the table the probes of a k = 10
-# insert took ~0.96 us, against ~1.30 us to mask and compare each nibble.
+# counter at 0 or 15 stays): one table read per probe is cheaper than
+# masking and comparing the nibble.
 _NIBBLE = (0x0F, 0xF0)
 
 
 def _step_table(mask: int, step: int) -> bytes:
     """For each of the 256 byte values, the byte after adding ``step``
     (+1 or -1) to the counter under ``mask``: a counter at 15 stays, and
-    so does one at 0 under -1.  Built with numpy: a generator over the
-    bytes took ~0.13 ms of each cold start."""
+    so does one at 0 under -1.  Built with numpy, not a generator over
+    the bytes, which slowed every cold start."""
     byte = np.arange(256)
     nibble = byte & mask
     stays = (nibble == mask) | ((nibble == 0) & (step < 0))
@@ -60,7 +60,7 @@ def _step_table(mask: int, step: int) -> bytes:
 _INCREMENT = tuple(_step_table(mask, 1) for mask in _NIBBLE)
 _DECREMENT = tuple(_step_table(mask, -1) for mask in _NIBBLE)
 # ufunc operands of the nibble paths' own dtypes: a Python int operand
-# costs each call a conversion, ~1 us of the ~15 us a 4,096-key probe takes
+# costs each call a conversion
 _ONE8, _FOUR8, _LOW8 = np.uint8(1), np.uint8(4), np.uint8(0x0F)
 
 
@@ -245,7 +245,7 @@ class CountingBloomFilter(_DoubleHashingFilter):
         read-only, writes go through the filter's operations."""
         # each byte widened to a little-endian uint16 whose low byte keeps
         # the low nibble and whose high byte takes the high one; not a
-        # stack of two nibble arrays, 0.30 against 0.60 ms per 1.15M counters
+        # stack of two nibble arrays, which is slower
         w = self.nibbles.astype("<u2")
         high = np.multiply(w, 16)
         high &= 0x0F00
@@ -260,7 +260,7 @@ class CountingBloomFilter(_DoubleHashingFilter):
         into ``nibbles``: the inverse of :attr:`counters`."""
         # each counter pair read as one little-endian uint16, the spare
         # counter of an odd ``bits`` 0; not two strided reads and a uint8
-        # ``<< 4``, 0.46 against 0.93 ms per 1.15M counters
+        # ``<< 4``, which are slower
         w = np.zeros(self.nibbles.size, dtype="<u2")
         w.view(np.uint8)[: self.bits] = counters
         high = w >> 4
@@ -308,8 +308,8 @@ class CountingBloomFilter(_DoubleHashingFilter):
         # one saturating add per slice: each position's increments are
         # counted in int64 first, so no number of repeats wraps a counter.
         # Every position is below m, so the cast to the narrowest unsigned
-        # dtype that holds m - 1 is exact; np.unique of 655,360 positions
-        # took 9.2 ms as uint32, cast included, against 11.9 ms as uint64
+        # dtype that holds m - 1 is exact, and np.unique sorts the narrow
+        # copy faster than uint64 positions, cast included
         idx, n = np.unique(
             positions.astype(np.min_scalar_type(self.bits - 1)), return_counts=True
         )
@@ -335,14 +335,14 @@ class CountingBloomFilter(_DoubleHashingFilter):
         shift = pos.astype(np.uint8)  # the low byte holds the parity
         np.bitwise_and(shift, _ONE8, out=shift)
         # times 4, not << 2: a uint8 left shift by a scalar is numpy's slow
-        # path, 43 us against 4 us for the multiply at 65,536 positions
+        # path
         np.multiply(shift, _FOUR8, out=shift)
-        # by a Python int, which takes pos's own dtype: np.uint64(1) ran a
-        # uint32 pos through the uint64 loop, 4 us against 1 us at 4,096
+        # by a Python int, which takes pos's own dtype: np.uint64(1) would
+        # run a uint32 pos through the slower uint64 loop
         byte = np.right_shift(pos, 1, out=pos)
         if byte.dtype == np.uint64:
             # below 2^63, so the int64 view is the same index, and take
-            # reads intp indices without a cast: 8 against 10 us at 4,096
+            # reads intp indices without a cast
             byte = byte.view(np.int64)
         value = self.nibbles.take(byte)
         np.right_shift(value, shift, out=value)
@@ -350,7 +350,7 @@ class CountingBloomFilter(_DoubleHashingFilter):
         return byte, shift, value
 
     def _slots_set(self, pos: np.ndarray) -> np.ndarray:
-        # as bool: np.flatnonzero took ~7x longer on the uint8 counters
+        # as bool: np.flatnonzero is much slower on the uint8 counters
         return self._counters_at(pos)[2].astype(bool)
 
     def memory_bits(self) -> int:

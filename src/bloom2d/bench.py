@@ -147,6 +147,14 @@ def _mops(ops: int, seconds: float) -> float:
     return ops / (1e6 * seconds) if seconds > 0 else float("inf")
 
 
+def _query_set(config: BenchConfig, corpus: KeyCorpus, kind: QueryKind | str):
+    """The labelled query set a run of ``config`` times for ``kind``: the
+    whole corpus for ``same``, else ``effective_query_size()`` queries."""
+    kind = QueryKind(kind)
+    size = len(corpus) if kind is QueryKind.SAME else config.effective_query_size()
+    return make_query_set(kind, corpus, size, workload_seed(config.seed, kind), config.mix_ratio)
+
+
 def run_insert_bench(config: BenchConfig, corpus: KeyCorpus | None = None):
     """Build the filter and insert the corpus, timed.
 
@@ -191,10 +199,7 @@ def run_lookup_bench(
     """
     kind = QueryKind(kind)
     if queries is None:
-        size = len(corpus) if kind is QueryKind.SAME else config.effective_query_size()
-        queries = make_query_set(
-            kind, corpus, size, workload_seed(config.seed, kind), config.mix_ratio
-        )
+        queries = _query_set(config, corpus, kind)
     if queries.truth is None or len(queries.truth) != len(queries):
         raise ValueError(f"query set for {kind.value!r} lacks usable truth labels")
     times = []
@@ -257,6 +262,8 @@ def recommend_variant(rows: list[dict[str, Any]], epsilon: float):
 def run_hash_selection(config: BenchConfig) -> dict[str, Any]:
     """Drive the two-dimensional filter with every hash variant and rank them."""
     corpus = generate_corpus(config.n, config.seed)
+    # the query sets depend on the seed, not on the variant: built once
+    query_sets = {kind: _query_set(config, corpus, kind) for kind in ALL_WORKLOADS}
     rows = []
     for variant in HashVariant:
         cfg = replace(config, filter_kind="robustbf", variant=variant)
@@ -265,7 +272,7 @@ def run_hash_selection(config: BenchConfig) -> dict[str, Any]:
         lookup_ops = 0
         lookup_seconds = 0.0
         for kind in ALL_WORKLOADS:
-            lrow = run_lookup_bench(cfg, filt, corpus, kind)
+            lrow = run_lookup_bench(cfg, filt, corpus, kind, queries=query_sets[kind])
             lookups[kind] = {
                 "seconds": lrow["seconds"],
                 "mops": lrow["mops"],

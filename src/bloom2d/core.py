@@ -53,13 +53,12 @@ from .hashing import HashVariant, derive_seeds, fold_batch, hash_key_seeds, mix_
 # the hash layer.
 
 # Keys per slice of a batch call: 65,536 keep a slice's temporaries to a
-# few MiB (the counting filter's insert peaks near 26 B per key of the
-# whole call at 10**6 keys), and 32k to 131k keys per slice ran equally
-# fast.  The 2D insert cuts SLICE_KEYS // k keys: its (k, count) uint64
-# matrices, 2.6 MB at k = 5 and 65,536 keys, spilled a 2 MiB L2 and ran
-# 1.4x slower.  Smaller slices for every call slowed the 2D lookups and
-# the CBF insert, and helped the SBF insert at 10**6 keys but slowed it
-# at 10**5.  Read on each call, so a test can patch it down.
+# few MiB, and 32k to 131k keys per slice ran equally fast.  The 2D insert
+# cuts SLICE_KEYS // k keys: its (k, count) uint64 matrices, 2.6 MB at
+# k = 5 and 65,536 keys, spill a 2 MiB L2.  Smaller slices for every call
+# slowed the 2D lookups and the CBF insert, and helped the SBF insert at
+# 10**6 keys but slowed it at 10**5.  Read on each call, so a test can
+# patch it down.
 SLICE_KEYS = 65_536
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bloom2d import bench
 from bloom2d.bench import (
     ALL_WORKLOADS,
     CSV_COLUMNS,
@@ -11,6 +12,7 @@ from bloom2d.bench import (
     recommend_variant,
     render_report,
     run_bench,
+    run_hash_selection,
     run_insert_bench,
     run_lookup_bench,
     workload_seed,
@@ -229,3 +231,18 @@ def test_variant_override_changes_results():
     assert h4["rows"][1]["variant"] == "H4"
     assert h7["rows"][1]["variant"] == "H7"
     assert h4["rows"][1]["fp_count"] != h7["rows"][1]["fp_count"]
+
+
+def test_hash_selection_builds_each_query_set_once(monkeypatch):
+    """The query sets depend on the seed, not on the variant, so the nine
+    variants share one set per workload."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return make_query_set(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "make_query_set", spy)
+    report = run_hash_selection(BenchConfig(n=2000, seed=3))
+    assert len(report["rows"]) == len(HashVariant)
+    assert sorted(calls) == sorted(ALL_WORKLOADS)

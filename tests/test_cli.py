@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import bloom2d
 from bloom2d.bench import CSV_COLUMNS
-from bloom2d.cli import main
+from bloom2d.cli import build_parser, main
 from bloom2d.workload import read_corpus, read_query_set
 
 
@@ -184,3 +186,24 @@ def test_package_import_defers_bench_workload_snapshot():
     assert report["star_missing"] == []
     assert report["unknown"] == "module 'bloom2d' has no attribute 'no_such_name'"
     assert report["submodules"] == ["bloom2d.snapshot", "bloom2d.workload", "bloom2d.bench"]
+
+
+def test_readme_commands_parse():
+    """Every ``bloom2d`` line in README's bash blocks parses, and every
+    ``python``/``python3`` line that runs a script names an existing file."""
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```bash\n(.*?)^```", (root / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in re.sub(r"\\\n", " ", block).splitlines()
+    ]
+    cli = [argv[1:] for argv in commands if argv[:1] == ["bloom2d"]]
+    scripts = [argv[1] for argv in commands
+               if len(argv) > 1 and argv[0] in ("python", "python3") and argv[1].endswith(".py")]
+    assert len(cli) >= 3 and scripts
+    for argv in cli:
+        build_parser().parse_args(argv)
+    for script in scripts:
+        assert (root / script).is_file(), script
