@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _Filter, mod_batch, set_bits
+from .core import _Filter, get_bits, mod_batch, set_bits
 from .geometry import optimal_bits, optimal_hash_count
 from .hashing import HashVariant, fold_batch, hash_key_seeds, mix_batch
 
@@ -202,10 +202,7 @@ class StandardBloomFilter(_DoubleHashingFilter):
         self.inserted_count += positions.shape[1]
 
     def _slots_set(self, pos: np.ndarray) -> np.ndarray:
-        bit = self.words[(pos >> np.uint64(6)).view(np.int64)]
-        bit >>= pos & np.uint64(63)
-        bit &= np.uint64(1)
-        return bit.astype(bool)
+        return get_bits(self.words, pos)
 
     def memory_bits(self) -> int:
         """Logical footprint: exactly the sized bit budget m."""

@@ -20,13 +20,13 @@ import sys
 from .bench import (
     ALL_WORKLOADS,
     BenchConfig,
+    _query_set,
     emit_report,
     run_bench,
     run_hash_selection,
-    workload_seed,
 )
 from .hashing import HashVariant
-from .workload import generate_corpus, make_query_set, write_corpus, write_query_set
+from .workload import generate_corpus, write_corpus, write_query_set
 
 _VARIANT_NAMES = [v.name for v in HashVariant]
 
@@ -117,22 +117,18 @@ def _cmd_hash_select(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     """Build every query set before writing any file, so a rejected size
-    or mix ratio leaves no corpus or query set behind."""
+    or mix ratio leaves no corpus or query set behind.  The sets are the
+    ones ``bench`` times for the same seed and sizes."""
+    config = BenchConfig(
+        n=args.n, query_size=args.query_size, seed=args.seed, mix_ratio=args.mix_ratio
+    )
     corpus = generate_corpus(args.n, args.seed)
     kinds = ()
     if args.workload == "all":
         kinds = ALL_WORKLOADS
     elif args.workload is not None:
         kinds = (args.workload,)
-    query_sets = {}
-    for kind in kinds:
-        if kind == "same":
-            size = len(corpus)
-        else:
-            size = args.query_size if args.query_size is not None else args.n
-        query_sets[kind] = make_query_set(
-            kind, corpus, size, workload_seed(args.seed, kind), args.mix_ratio
-        )
+    query_sets = {kind: _query_set(config, corpus, kind) for kind in kinds}
     write_corpus(corpus, args.out)
     for kind, queries in query_sets.items():
         write_query_set(queries, f"{args.out}.{kind}")

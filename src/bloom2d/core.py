@@ -1,14 +1,25 @@
 """The two-dimensional Bloom filter.
 
-Each membership probe derives a row, a column and a bit position from a
-single 64-bit digest by three independent moduli; an item occupies one
-bit in one cell per hash seed.  Insertion ORs those bits in, lookup
-requires all of them, and deletion clears them.
+In the paper's layout each membership probe derives a row, a column and
+a bit position from a single 64-bit digest d by three moduli, d mod
+rows, d mod cols and d mod cell_bits; an item occupies one bit in one
+cell per hash seed.  Insertion ORs those bits in, lookup requires all
+of them, and deletion clears them.
+
+The three moduli are pairwise coprime primes, so by the Chinese
+remainder theorem the triple is exactly ``d mod bits`` with ``bits =
+rows * cols * cell_bits``: the filter is, bit for bit, a flat Bloom
+filter of ``bits`` bits whose cells are a fixed permutation of them.
+It is stored that way.  ``words`` holds probe bit ``p = d mod bits`` at
+bit ``p & 63`` of word ``p >> 6``, the layout of
+:class:`~bloom2d.baselines.StandardBloomFilter`, so a probe takes one
+modulus and the cells' unused high bits take no storage.  The cell
+layout exists only in snapshots and in the derived :attr:`cells`.
 
 The scalar operations address with plain Python ints and read and write
-``cells`` through a ``memoryview`` made on each call, whose items are
+``words`` through a ``memoryview`` made on each call, whose items are
 Python ints.  The view is never kept on the filter, so an array later
-assigned to ``cells`` is the one the next call uses.
+assigned to ``words`` is the one the next call uses.
 
 Deletion caveat: bits are shared, so removing a key that collides with
 another inserted key on some probe can introduce a false negative for
@@ -25,12 +36,13 @@ position matrices it folds, addresses and writes hold at most
 no result: bits are ORed, lookups are per key, and the counting filter's
 saturating add composes, min(min(c + a, 15) + b, 15) = min(c + a + b, 15).
 
-Batch paths reduce a digest d by each modulus m through its quotient,
+Batch paths reduce a digest d by a modulus m through its quotient,
 d - (d // m) * m (:func:`mod_batch`), which equals d mod m and avoids a
 hardware divide per element.  An insert takes a slice's k probes as one
 ``(k, count)`` matrix and writes them with :func:`set_bits`, the one
 storage write of both bit-array filters; a lookup folds one seed at a
-time, keeps the row numbers of the keys still alive, compacts them only
+time, reads its bits with :func:`get_bits`, the one storage read of
+both, keeps the row numbers of the keys still alive, compacts them only
 after a probe some key misses, and writes the answers once at the end.
 
 A filter instance tolerates one writer or any number of concurrent
@@ -78,8 +90,10 @@ def mod_batch(
     return np.subtract(x, r, out=r)
 
 
-# operands of set_bits in its arrays' own dtypes, so no call mixes dtypes
+# operands of set_bits and get_bits in their arrays' own dtypes, so no
+# call mixes dtypes
 _ONE8, _SEVEN8, _THREE, _SEVEN = np.uint8(1), np.uint8(7), np.uint64(3), np.uint64(7)
+_ONE, _SIX, _SIXTY_THREE = np.uint64(1), np.uint64(6), np.uint64(63)
 
 # the fewest probes set_bits writes at a time, so that a small filter's
 # batch is not cut into many chunks of a few probes each
@@ -135,6 +149,30 @@ def _set_chunk(flat: np.ndarray, pos: np.ndarray, big_endian: bool) -> None:
         if not lost.size:
             return
         byte, mask = byte.take(lost), mask.take(lost)
+
+
+def get_bits(words: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Whether bit ``p & 63`` of word ``p >> 6`` of the 1-D uint64 array
+    ``words`` is set, as one bool for every ``p`` of the uint64 array
+    ``pos``.
+
+    The one storage read of both bit-array lookups.  A position lies
+    below the filter's bit count, far below 2^63, so the int64 view of
+    its word number is the same index.
+    """
+    bit = words[(pos >> _SIX).view(np.int64)]
+    bit >>= pos & _SIXTY_THREE
+    bit &= _ONE
+    return bit.astype(bool)
+
+
+def _rotate_left(x: np.ndarray, by: np.ndarray, width: int) -> np.ndarray:
+    """Each ``width``-bit value of the uint64 array ``x`` rotated left by
+    the matching uint64 count of ``by``, which lies in [0, width]."""
+    out = x << by
+    out |= x >> (np.uint64(width) - by)
+    out &= np.uint64((1 << width) - 1)
+    return out
 
 
 class _Filter:
@@ -204,8 +242,13 @@ class _Filter:
 
 
 class TwoDBloomFilter(_Filter):
-    """Prime-dimension matrix of 64-bit cells with bit-level deletion.
+    """Prime-dimension matrix of 64-bit cells with bit-level deletion,
+    stored as the flat filter of ``bits = rows * cols * cell_bits`` bits
+    it equals (see the module docstring).
 
+    ``words`` holds probe bit ``p = d mod bits`` at bit ``p & 63`` of
+    word ``p >> 6``, as :class:`~bloom2d.baselines.StandardBloomFilter`
+    does; ``cells`` derives the paper's cell matrix from it.
     ``hash_calls`` counts probes evaluated, one digest each (a lookup
     that stops at its first unset bit counts only the probes up to it).
     """
@@ -218,7 +261,8 @@ class TwoDBloomFilter(_Filter):
     ) -> None:
         super().__init__(variant, seeds, geometry.hash_count)
         self.geometry = geometry
-        self.cells = np.zeros((geometry.rows, geometry.cols), dtype=np.uint64)
+        self.bits = geometry.rows * geometry.cols * geometry.cell_bits
+        self.words = np.zeros((self.bits + 63) // 64, dtype=np.uint64)
 
     @classmethod
     def for_capacity(
@@ -237,47 +281,36 @@ class TwoDBloomFilter(_Filter):
         return cls(derive_geometry(expected_items, fp_target), variant)
 
     def insert(self, key: bytes) -> None:
-        """Set one bit per seed; re-inserting a key changes no cell."""
-        g = self.geometry
-        rows, cols, cell_bits = g.rows, g.cols, g.cell_bits
-        cells = memoryview(self.cells)
+        """Set one bit per seed; re-inserting a key changes no bit."""
+        bits = self.bits
+        words = memoryview(self.words)
         for d in hash_key_seeds(key, self.seeds, self.variant):
-            cells[d % rows, d % cols] |= 1 << (d % cell_bits)
+            p = d % bits
+            words[p >> 6] |= 1 << (p & 63)
         self.hash_calls += len(self.seeds)
         self.inserted_count += 1
 
     def contains(self, key: bytes) -> bool:
         """True iff every probe bit is set; never false for an inserted,
         non-deleted key."""
-        g = self.geometry
-        rows, cols, cell_bits = g.rows, g.cols, g.cell_bits
-        cells = memoryview(self.cells)
+        bits = self.bits
+        words = memoryview(self.words)
         for d in hash_key_seeds(key, self.seeds, self.variant):
             self.hash_calls += 1
-            if not (cells[d % rows, d % cols] >> (d % cell_bits)) & 1:
+            p = d % bits
+            if not (words[p >> 6] >> (p & 63)) & 1:
                 return False
         return True
 
     def remove(self, key: bytes) -> None:
         """Clear each probe bit that is currently set (see deletion caveat)."""
-        g = self.geometry
-        rows, cols, cell_bits = g.rows, g.cols, g.cell_bits
-        cells = memoryview(self.cells)
+        bits = self.bits
+        words = memoryview(self.words)
         for d in hash_key_seeds(key, self.seeds, self.variant):
-            cells[d % rows, d % cols] &= ~(1 << (d % cell_bits))
+            p = d % bits
+            words[p >> 6] &= ~(1 << (p & 63))
         self.hash_calls += len(self.seeds)
         self.inserted_count = max(0, self.inserted_count - 1)
-
-    def _cell_index(self, digests: np.ndarray) -> np.ndarray:
-        """Each digest's cell, ``(d mod rows) * cols + d mod cols`` (below
-        ``rows * cols``), as an int64 index written over ``digests``."""
-        cols = np.uint64(self.geometry.cols)
-        index = mod_batch(digests, self.geometry.rows)
-        index *= cols
-        index += digests  # then minus (d // cols) * cols, wrapping mod 2**64
-        digests //= cols
-        digests *= cols
-        return np.subtract(index, digests, out=digests).view(np.int64)
 
     def insert_batch(self, keys: np.ndarray) -> None:
         """Insert every row of a ``(count, length)`` uint8 key matrix, in
@@ -289,15 +322,9 @@ class TwoDBloomFilter(_Filter):
 
     def _insert_slice(self, keys: np.ndarray) -> None:
         digests = fold_batch(mix_batch(keys, self.variant), self.seeds)
-        # bit numbers wait as uint8, so two (k, count) uint64 matrices peak
-        bits = mod_batch(digests, self.geometry.cell_bits).astype(np.uint8)
-        pos = self._cell_index(digests).view(np.uint64)
-        pos <<= np.uint64(6)
-        pos += bits.astype(np.uint64)  # 64 * cell + bit: its number in flat cells
-        del bits
-        set_bits(self.cells, pos)
         self.hash_calls += digests.size
         self.inserted_count += digests.shape[1]
+        set_bits(self.words, mod_batch(digests, self.bits))
 
     def _contains_slice(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised lookup returning a boolean per row.
@@ -313,14 +340,10 @@ class TwoDBloomFilter(_Filter):
         blocks = mix_batch(keys, self.variant)
         count = blocks.words.shape[1]
         alive = np.arange(count)
-        flat = self.cells.reshape(-1)
         for seed in self.seeds:
             digests = fold_batch(blocks, seed)
             self.hash_calls += alive.size
-            bit = mod_batch(digests, self.geometry.cell_bits)
-            np.right_shift(flat[self._cell_index(digests)], bit, out=bit)
-            bit &= np.uint64(1)
-            hit = bit.astype(bool)
+            hit = get_bits(self.words, mod_batch(digests, self.bits))
             if not hit.all():
                 keep = np.flatnonzero(hit)
                 alive = alive.take(keep)
@@ -331,14 +354,79 @@ class TwoDBloomFilter(_Filter):
         result[alive] = True
         return result
 
+    def _cell_layout(self):
+        """Where flat bit ``p = a * plane + q`` sits in the cells, with
+        ``plane = rows * cols``, ``q < plane`` and ``a < cell_bits``.
+
+        p mod rows and p mod cols are q's, so q alone fixes the cell, the
+        row-major number ``cell[q]``; the bit in it is ``(a * s + q) mod
+        cell_bits``, with s = plane mod cell_bits.  Read the flat bits as
+        a ``(cell_bits, plane)`` matrix and take its rows in ``order``,
+        ``order[t] = t / s mod cell_bits``: column q of the result, as a
+        ``cell_bits``-bit number with row t at bit t, is cell ``cell[q]``
+        rotated right by ``turn[q] = q mod cell_bits``.  Returns
+        ``cell`` (int64), ``turn`` (uint64) and ``order``; the inverse
+        of s is computed here, on each call, and never when a filter is
+        built.
+        """
+        g = self.geometry
+        q = np.arange(g.rows * g.cols, dtype=np.uint64)
+        cell = mod_batch(q, g.rows)
+        cell *= np.uint64(g.cols)
+        cell += mod_batch(q, g.cols)
+        order = np.arange(g.cell_bits) * pow(g.rows * g.cols, -1, g.cell_bits) % g.cell_bits
+        return cell.view(np.int64), mod_batch(q, g.cell_bits), order
+
+    @property
+    def cells(self) -> np.ndarray:
+        """The ``(rows, cols)`` uint64 cell matrix: flat bit p is bit
+        ``p mod cell_bits`` of cell ``(p mod rows, p mod cols)`` (see
+        :meth:`_cell_layout`).
+
+        Derived from ``words`` on each access into a fresh read-only
+        array, with temporaries of about ``bits`` bytes twice; writes go
+        through the filter's operations.
+        """
+        g = self.geometry
+        plane = g.rows * g.cols
+        cell, turn, order = self._cell_layout()
+        flat = np.unpackbits(self.words.astype("<u8", copy=False).view(np.uint8),
+                             bitorder="little")[: self.bits].reshape(g.cell_bits, plane)
+        column = np.zeros((64, plane), dtype=np.uint8)
+        np.take(flat, order, axis=0, out=column[: g.cell_bits])
+        packed = np.packbits(column, axis=0, bitorder="little")  # byte k of each column
+        rotated = np.ascontiguousarray(packed.T).view("<u8").reshape(plane)
+        cells = np.empty(plane, dtype=np.uint64)
+        cells[cell] = _rotate_left(rotated, turn, g.cell_bits)
+        cells = cells.reshape(g.rows, g.cols)
+        cells.flags.writeable = False
+        return cells
+
+    def _load_cells(self, cells: np.ndarray) -> None:
+        """Set ``words`` from ``rows * cols`` uint64 cells in row-major
+        order, none with a bit at or above ``cell_bits``: the inverse of
+        :attr:`cells`."""
+        g = self.geometry
+        plane = g.rows * g.cols
+        cell, turn, order = self._cell_layout()
+        turn = np.uint64(g.cell_bits) - turn  # rotate right by turn
+        rotated = _rotate_left(cells.reshape(-1)[cell], turn, g.cell_bits)
+        column = np.unpackbits(rotated.astype("<u8", copy=False).view(np.uint8)
+                               .reshape(plane, 8).T, axis=0, bitorder="little")
+        flat = np.zeros(64 * self.words.size, dtype=np.uint8)
+        flat[: self.bits].reshape(g.cell_bits, plane)[order] = column[: g.cell_bits]
+        self.words[:] = np.packbits(flat, bitorder="little").view("<u8")
+
     def memory_bits(self) -> int:
-        """Physical footprint in bits: rows * cols * 64, the size of ``cells``."""
+        """The paper's cell footprint, rows * cols * 64 bits, which the
+        reports compare.  ``words`` physically holds ``bits = rows * cols
+        * cell_bits`` rounded up to whole words: the top 64 - cell_bits
+        bits of each cell are never stored."""
         return self.geometry.memory_bits
 
     def count_set_bits(self) -> int:
-        return int(np.unpackbits(self.cells.view(np.uint8)).sum())
+        return int(np.unpackbits(self.words.view(np.uint8)).sum())
 
     def fill_fraction(self) -> float:
-        """Fraction of the usable (rows * cols * cell_bits) bits set."""
-        g = self.geometry
-        return self.count_set_bits() / (g.rows * g.cols * g.cell_bits)
+        """Fraction of the ``bits = rows * cols * cell_bits`` usable bits set."""
+        return self.count_set_bits() / self.bits

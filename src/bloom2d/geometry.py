@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .primes import DEFAULT_LIMIT, PrimeTableExhaustedError, default_table, is_prime
 
-# Physical bits per cell, and the usable low bits of each: the largest
-# prime not exceeding CELL_WIDTH.
+# Bits per cell in the paper's layout, and the usable low bits of each:
+# the largest prime not exceeding CELL_WIDTH.
 CELL_WIDTH = 64
 CELL_BITS = 61
 # Dimensions are the primes three slots to either side of the selected
@@ -93,7 +93,8 @@ class FilterGeometry:
 
     @property
     def memory_bits(self) -> int:
-        """Physical footprint: rows * cols * CELL_WIDTH."""
+        """The paper's cell footprint, rows * cols * CELL_WIDTH; the filter
+        stores only the rows * cols * cell_bits usable bits."""
         return self.rows * self.cols * CELL_WIDTH
 
 

@@ -14,6 +14,10 @@ followed by a type-specific block:
 
     tag 1: rows I, cols I, cell_width B, cell_bits B, seeds k*Q,
            cells as raw <u8 words, row-major; cell_width is always 64
+           (the filter holds the flat bits the cells equal under the
+           Chinese remainder theorem; save permutes its words into this
+           layout and load checks every cell bit is below cell_bits,
+           then permutes back)
     tag 2: bits Q, seeds 2*Q, words as raw <u8
     tag 3: counters Q, seeds 2*Q, counters as raw u1, one byte each
            (the filter holds them two per byte; save unpacks them and
@@ -128,11 +132,11 @@ def load_filter(path) -> TwoDBloomFilter | StandardBloomFilter | CountingBloomFi
         )
         seeds = struct.unpack_from(f"<{hash_count}Q", raw, offset)
         offset += 8 * hash_count
-        f = TwoDBloomFilter(geometry, variant, seeds)
         cells = np.frombuffer(raw, dtype="<u8", count=rows * cols, offset=offset)
-        f.cells[...] = cells.reshape(rows, cols)
-        if int(f.cells.max()) >> cell_bits:
+        if int(cells.max()) >> cell_bits:
             raise ValueError(f"{path} sets a cell bit at or above cell_bits {cell_bits}")
+        f = TwoDBloomFilter(geometry, variant, seeds)
+        f._load_cells(cells)
     elif tag in (_TAG_SBF, _TAG_CBF):
         if len(raw) < offset + _SHAPE_FLAT.size:
             raise ValueError(f"{path} is too short for a flat filter shape")

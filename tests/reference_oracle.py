@@ -98,6 +98,41 @@ class BitMatrixOracle:
         return True
 
 
+class CrtFlatOracle:
+    """The 2D filter as a flat bitmap of ``M = rows*cols*cell_bits`` bits:
+    a probe with digest d sets or clears bit ``d mod M`` of a plain
+    ``bytearray``, one byte per bit.
+
+    :meth:`cells` maps each set bit p to cell ``(p mod rows, p mod
+    cols)``, bit ``p mod cell_bits``.  The three moduli are pairwise
+    coprime, so by the Chinese remainder theorem that triple is the
+    filter's own address of every digest d with ``d mod M = p``: the
+    cells it builds must equal the filter's bit for bit.  It takes its
+    digests from the caller and shares no addressing code with the
+    filter.
+    """
+
+    def __init__(self, geometry: FilterGeometry) -> None:
+        self.geometry = geometry
+        self.modulus = geometry.rows * geometry.cols * geometry.cell_bits
+        self.bitmap = bytearray(self.modulus)
+
+    def set(self, digest: int) -> None:
+        self.bitmap[digest % self.modulus] = 1
+
+    def clear(self, digest: int) -> None:
+        self.bitmap[digest % self.modulus] = 0
+
+    def cells(self) -> list[list[int]]:
+        g = self.geometry
+        cells = [[0] * g.cols for _ in range(g.rows)]
+        p = self.bitmap.find(1)
+        while p >= 0:
+            cells[p % g.rows][p % g.cols] |= 1 << (p % g.cell_bits)
+            p = self.bitmap.find(1, p + 1)
+        return cells
+
+
 class DoubleHashingOracle:
     """Plain-Python flat Bloom filter: the SBF when ``counting`` is false,
     the CBF with 4-bit saturating counters when it is true.
@@ -159,6 +194,21 @@ def designed_fpp(geometry: FilterGeometry, items: int) -> float:
     m = geometry.rows * geometry.cols * geometry.cell_bits
     k = geometry.hash_count
     return (-math.expm1(k * items * math.log1p(-1 / m))) ** k
+
+
+def deletion_fn_rate(geometry: FilterGeometry, removed: int) -> float:
+    """Share of kept keys a 2D filter answers absent after ``removed``
+    inserted keys are removed, one ``remove`` each.
+
+    A kept key loses a bit when one of the ``k*r`` probes of the removed
+    keys lands on one of its ``k`` bits, so ``1 - (1 - 1/m)^(k^2*r)``,
+    with ``m = rows*cols*cell_bits`` usable bits, ``k = hash_count`` and
+    ``r = removed``: about ``k^2*r/m`` while that is small.  It rests on
+    the independence assumption :func:`designed_fpp` makes.
+    """
+    m = geometry.rows * geometry.cols * geometry.cell_bits
+    k = geometry.hash_count
+    return -math.expm1(k * k * removed * math.log1p(-1 / m))
 
 
 def fpp_bound(rate: float, queries: int) -> float:

@@ -148,7 +148,7 @@ def test_c05_robustbf_fpp_superiority(disjoint_fpp, filters_full):
     its shape is built for: p* + 4 binomial standard errors.
 
     At n = 10**6 and epsilon = 0.001 the shape is 359x317x61 with k = 5:
-    6.94 usable (7.28 physical) bits per key, p* = 0.035658 and a bound
+    6.94 usable (7.28 in the paper's cells) bits per key, p* = 0.035658 and a bound
     of 0.036400.  The memory saving of criterion 6 is paid for here, and
     the detail prints both side by side.  A 1e-4 rate, or a fifth of the
     flat filter's ~0.001, is out of reach at this footprint: any
@@ -168,7 +168,7 @@ def test_c05_robustbf_fpp_superiority(disjoint_fpp, filters_full):
         robust <= bound,
         f"robustbf={robust:.6f} vs p*={rate:.6f}, bound p*+4sigma={bound:.6f}, "
         f"epsilon={EPSILON}; sbf={sbf:.6f}; bits per key: robustbf "
-        f"{usable_bits:.2f} usable / {twod.memory_bits() / FULL_N:.2f} physical, "
+        f"{usable_bits:.2f} usable / {twod.memory_bits() / FULL_N:.2f} cell footprint, "
         f"sbf {filters_full['sbf'].memory_bits() / FULL_N:.2f}",
     )
 

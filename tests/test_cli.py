@@ -8,12 +8,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bloom2d
-from bloom2d.bench import CSV_COLUMNS
+from bloom2d.bench import ALL_WORKLOADS, CSV_COLUMNS, BenchConfig, run_insert_bench, run_lookup_bench
 from bloom2d.cli import build_parser, main
-from bloom2d.workload import read_corpus, read_query_set
+from bloom2d.workload import (
+    decode_keys,
+    generate_corpus,
+    membership_oracle,
+    read_corpus,
+    read_query_set,
+)
 
 
 def test_bench_json_to_file(tmp_path):
@@ -75,6 +82,31 @@ def test_generate_corpus_and_query_sets(tmp_path):
         queries = read_query_set(f"{out}.{kind}", kind)
         assert len(queries) == expected
         assert queries.truth is not None
+
+
+@pytest.mark.parametrize("kind", ALL_WORKLOADS)
+def test_generate_writes_the_sets_bench_times(tmp_path, kind):
+    """The corpus and query files ``generate`` writes hold the keys and
+    truth labels ``run_lookup_bench`` builds and times at the same seed,
+    sizes and mix ratio."""
+    out = tmp_path / "corpus.keys"
+    assert main([
+        "generate", "--n", "300", "--seed", "5", "--out", str(out),
+        "--workload", kind, "--query-size", "200", "--mix-ratio", "0.3",
+    ]) == 0
+    config = BenchConfig(filter_kind="sbf", n=300, query_size=200, seed=5, mix_ratio=0.3)
+    filt, _ = run_insert_bench(config)
+    timed = []
+    answer = filt.contains_batch
+    filt.contains_batch = lambda keys: timed.append(keys) or answer(keys)
+    corpus = read_corpus(out)
+    assert np.array_equal(corpus.matrix, generate_corpus(300, 5).matrix)
+    row = run_lookup_bench(config, filt, corpus, kind)
+    written = read_query_set(f"{out}.{kind}", kind)
+    (matrix,) = timed
+    assert np.array_equal(written.matrix, matrix)
+    assert np.array_equal(written.truth, membership_oracle(corpus, decode_keys(matrix)))
+    assert row["neg_queries"] == int(np.count_nonzero(~written.truth))
 
 
 def test_generate_is_deterministic(tmp_path):

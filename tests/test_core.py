@@ -1,6 +1,7 @@
 """Two-dimensional filter: addressing, operations, batch equivalence."""
 
 import gc
+import math
 import tracemalloc
 from unittest import mock
 
@@ -13,12 +14,14 @@ from bloom2d import core
 from bloom2d.baselines import CountingBloomFilter, StandardBloomFilter
 from bloom2d.core import TwoDBloomFilter, mod_batch, set_bits
 from bloom2d.geometry import FilterGeometry, derive_geometry
-from bloom2d.hashing import HashVariant, derive_seeds, hash_key
+from bloom2d.hashing import HashVariant, derive_seeds, hash_key, hash_key_seeds
 from bloom2d.workload import generate_corpus, make_query_set
 from reference_oracle import (
     BitMatrixOracle,
+    CrtFlatOracle,
     DoubleHashingOracle,
     cell_address,
+    deletion_fn_rate,
     designed_fpp,
     fpp_bound,
     key_matrix,
@@ -50,10 +53,20 @@ class TestCellAddress:
             assert 0 <= addr.bit < 61
 
     def test_or_of_hand_worked_mask(self):
+        # the filter stores digest 200 as flat bit 200 mod 13*11*61 = 200,
+        # which the Chinese remainder theorem maps to cell (5, 2), bit 17
         f = toy_filter()
         addr = cell_address(200, f.geometry)
-        f.cells[addr.row, addr.col] |= np.uint64(addr.mask)
-        assert int(f.cells[5, 2]) == 131072
+        p = 200 % (13 * 11 * 61)
+        f.words[p >> 6] |= np.uint64(1 << (p & 63))
+        assert int(f.cells[addr.row, addr.col]) == int(f.cells[5, 2]) == 131072
+        assert np.count_nonzero(f.cells) == 1
+
+    def test_cells_are_read_only(self):
+        f = toy_filter()
+        with pytest.raises(ValueError):
+            f.cells[5, 2] |= np.uint64(131072)
+        assert not f.words.any()
 
 
 # The moduli the filters reduce by: 1, the 2D shape's cell bits, rows and
@@ -219,6 +232,45 @@ def test_contested_bytes_2d_match_scalar_and_oracle(geometry, slice_keys, monkey
     assert answers == [scalar.contains(key) for key in queries]
     assert answers == [oracle.lookup(key) for key in queries]
     assert (f.hash_calls, f.inserted_count) == (scalar.hash_calls, scalar.inserted_count)
+
+
+CRT_SHAPES = [TOY, *CONTESTED_SHAPES, FilterGeometry(rows=7, cols=3, cell_bits=5, hash_count=2)]
+
+
+@pytest.mark.parametrize("geometry", CRT_SHAPES,
+                         ids=lambda g: f"{g.rows}x{g.cols}x{g.cell_bits}-k{g.hash_count}")
+def test_cells_equal_a_flat_bitmap_under_crt(geometry):
+    """Keys inserted by batch and one by one, then some removed, leave
+    the cells of a flat bitmap of rows*cols*cell_bits bits whose set
+    bits are mapped to cells by the Chinese remainder theorem."""
+    keys = [i.to_bytes(8, "little") for i in range(geometry.rows * geometry.cols * 4)]
+    f = TwoDBloomFilter(geometry)
+    oracle = CrtFlatOracle(geometry)
+    half = len(keys) // 2
+    f.insert_batch(key_matrix(keys[:half], 8))
+    for key in keys[half:]:
+        f.insert(key)
+    for key in keys:
+        for d in hash_key_seeds(key, f.seeds, f.variant):
+            oracle.set(d)
+    for key in keys[::7]:
+        f.remove(key)
+        for d in hash_key_seeds(key, f.seeds, f.variant):
+            oracle.clear(d)
+    assert f.cells.tolist() == oracle.cells()
+
+
+def test_cells_equal_a_flat_bitmap_under_crt_at_scale():
+    """The same for 10**5 keys inserted as one batch into the derived
+    131x101x61 shape, whose flat bitmap has 807,091 bits."""
+    corpus = generate_corpus(100_000, 1)
+    f = TwoDBloomFilter.for_capacity(len(corpus), 0.001)
+    f.insert_batch(corpus.matrix)
+    oracle = CrtFlatOracle(f.geometry)
+    for i in range(len(corpus)):
+        for d in hash_key_seeds(corpus.key(i), f.seeds, f.variant):
+            oracle.set(d)
+    assert f.cells.tolist() == oracle.cells()
 
 
 @settings(max_examples=40, deadline=None)
@@ -811,17 +863,21 @@ def _held_after_insert(kind):
 
 @pytest.mark.parametrize("kind", THREE_FILTERS)
 def test_storage_matches_memory_bits(kind):
-    """Each filter holds one storage array, the one ``memory_bits``
-    describes: the 2D cells exactly, the CBF's nibbles up to the spare
-    nibble of an odd m, the SBF's words up to the padding of the last
-    word.  By tracemalloc, a filter built and filled by ``insert_batch``
+    """Each filter holds one storage array: the CBF's nibbles, which
+    ``memory_bits`` describes up to the spare nibble of an odd m; the
+    SBF's words, up to the padding of the last word; the 2D filter's
+    words, its rows*cols*cell_bits usable bits rounded up to whole
+    words, where ``memory_bits`` keeps the paper's rows*cols*64 cell
+    footprint.  By tracemalloc, a filter built and filled by ``insert_batch``
     holds little besides that array, so a filter that starts keeping
     per-instance caches fails here before it moves perfbench's
     ``bits_per_key``."""
     f, storage, held = _held_after_insert(kind)
     physical = storage.nbytes * 8
     if kind == "robustbf":
-        assert physical == f.memory_bits()
+        g = f.geometry
+        assert physical == 64 * -(-g.rows * g.cols * g.cell_bits // 64)
+        assert f.memory_bits() == g.rows * g.cols * 64
     elif kind == "cbf":
         assert f.memory_bits() == 4 * f.bits
         assert physical == 8 * ((f.bits + 1) // 2)
@@ -912,3 +968,41 @@ class TestFalsePositiveBehaviour:
             f"geometry {f.geometry.rows}x{f.geometry.cols}x{f.geometry.cell_bits} "
             f"with k={f.geometry.hash_count}"
         )
+
+
+class TestDeletionAtScale:
+    """What ``remove`` does to the keys that stay, at 10**5 keys."""
+
+    def test_2d_remove_false_negative_rate(self):
+        """After r of 10**5 inserted keys are removed, one ``remove``
+        each, the share of kept keys the 2D filter answers absent lies
+        within 4 binomial standard errors of ``1 - (1 - 1/m)^(k^2*r)``
+        (:func:`deletion_fn_rate`), on both sides, at r = 1,000 and
+        10,000.  131x101x61, k = 5, corpus seed 1 measured 0.0308 and
+        0.2680 against 0.0305 and 0.2664."""
+        corpus = generate_corpus(100_000, 1)
+        f = TwoDBloomFilter.for_capacity(len(corpus), 0.001)
+        f.insert_batch(corpus.matrix)
+        removed = 0
+        for r in (1_000, 10_000):
+            for i in range(removed, r):
+                f.remove(corpus.key(i))
+            removed = r
+            kept = len(corpus) - r
+            rate = deletion_fn_rate(f.geometry, r)
+            sigma = math.sqrt(rate * (1 - rate) / kept)
+            absent = 1 - f.contains_batch(corpus.matrix[r:]).mean()
+            assert abs(absent - rate) <= 4 * sigma, (
+                f"{r} removed: kept keys answering absent {absent:.4f}, "
+                f"predicted {rate:.4f} +- 4 * {sigma:.4f}")
+
+    def test_cbf_remove_keeps_every_kept_key(self):
+        """The CBF answers every kept key present after 10% of 10**5
+        inserted keys are removed: no counter saturates, so each
+        decrement undoes one increment."""
+        corpus = generate_corpus(100_000, 1)
+        f = CountingBloomFilter(len(corpus), 0.001)
+        f.insert_batch(corpus.matrix)
+        for i in range(10_000):
+            f.remove(corpus.key(i))
+        assert f.contains_batch(corpus.matrix[10_000:]).all()

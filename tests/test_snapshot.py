@@ -51,6 +51,23 @@ def test_two_d_round_trip_is_bit_exact(tmp_path, corpus):
     assert not g.contains(corpus.key(0))
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 5), (7, 3, 5), (13, 11, 61), (5, 61, 59)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_two_d_round_trip_keeps_words_and_cells(tmp_path, corpus, shape):
+    """Save permutes the flat words into cells and load permutes them
+    back by the Chinese remainder theorem: the words, the cells and the
+    bytes survive for shapes with small and large cell_bits, filled
+    sparsely and nearly full."""
+    rows, cols, cell_bits = shape
+    f = TwoDBloomFilter(FilterGeometry(rows=rows, cols=cols, cell_bits=cell_bits, hash_count=3))
+    for count in (3, len(corpus)):
+        f.insert_batch(corpus.matrix[:count])
+        g = load_bytes(tmp_path, snapshot_bytes(tmp_path, f))
+        assert np.array_equal(g.words, f.words)
+        assert np.array_equal(g.cells, f.cells)
+        assert snapshot_bytes(tmp_path, g) == snapshot_bytes(tmp_path, f)
+
+
 def test_sbf_round_trip_is_bit_exact(tmp_path, corpus):
     f = StandardBloomFilter(500, 0.01)
     f.insert_batch(corpus.matrix)
@@ -359,7 +376,7 @@ def test_reloaded_filter_scalar_ops_match_original(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind,field", [
-    ("robustbf", "cells"), ("sbf", "words"), ("cbf", "nibbles"),
+    ("robustbf", "words"), ("sbf", "words"), ("cbf", "nibbles"),
 ])
 def test_scalar_ops_write_a_reassigned_array(kind, field):
     f = small_filters()[kind]
